@@ -74,6 +74,12 @@ func run(args []string) error {
 func generate(kind string, n int) (*topology.Topology, error) {
 	lat, bw := topology.DefaultLatency, topology.DefaultBandwidth
 	switch kind {
+	case "mesh", "torus", "ring", "star", "full", "clustered4", "clustered8":
+		if n < 1 {
+			return nil, fmt.Errorf("-cores must be positive, got %d", n)
+		}
+	}
+	switch kind {
 	case "mesh":
 		return topology.Mesh(n), nil
 	case "torus":

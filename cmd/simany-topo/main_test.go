@@ -52,4 +52,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-info", "/nonexistent.topo"}); err == nil {
 		t.Error("missing file should error")
 	}
+	for _, args := range [][]string{
+		{"-describe", "-gen", "mesh:0"},
+		{"-describe", "-gen", "mesh:-4"},
+		{"-gen", "mesh", "-cores", "0"},
+		{"-gen", "clustered4", "-cores", "-8"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%v should error", args)
+		}
+	}
 }

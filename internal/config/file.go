@@ -120,13 +120,9 @@ func ParseMachine(r io.Reader, resolve func(path string) (io.ReadCloser, error))
 			m.Topo = topo
 		case "topo":
 			// Validate the spec at parse time so a typo fails on this
-			// line, not later inside Build. Chiplet specs are grammar-
-			// checked without building the (possibly 100k-core) network.
-			if tiers, ok := strings.CutPrefix(val, "chiplet:"); ok {
-				if _, err := topology.ParseChipletSpec(tiers); err != nil {
-					return m, fmt.Errorf("config: line %d: %w", lineNo, err)
-				}
-			} else if _, err := topology.ParseSpec(val); err != nil {
+			// line, not later inside Build, without building the
+			// (possibly 100k-core) network.
+			if err := topology.CheckSpec(val); err != nil {
 				return m, fmt.Errorf("config: line %d: %w", lineNo, err)
 			}
 			m.TopoSpec = val

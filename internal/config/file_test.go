@@ -59,6 +59,10 @@ func TestParseMachineErrors(t *testing.T) {
 		"cores 4\nfrobnicate 7\n",    // unknown key
 		"cores\n",                    // missing value
 		"cores 4\ntopology t.topo\n", // references forbidden with nil resolver
+		"topo mesh:0\n",              // zero-size mesh (used to panic)
+		"topo mesh:-4\n",             // negative mesh
+		"topo ring:x\n",              // non-numeric size
+		"topo chiplet:2x1@NaN\n",     // out-of-range tier latency
 	}
 	for _, src := range bad {
 		if _, err := ParseMachine(strings.NewReader(src), nil); err == nil {

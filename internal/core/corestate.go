@@ -32,12 +32,11 @@ type Core struct {
 
 	vt   vtime.Time // current virtual time (meaningful while busy)
 	idle bool
-	//simany:derived effective-time cache, recomputed by refreshEff after decode
-	eff vtime.Time // advertised effective time (vt when busy, shadow when idle)
 
 	// Lazy effective-time state (efflazy.go): the memo epoch stamp that
-	// validates eff for an idle core, the BFS visited generation, and the
-	// core's positions in its domain's busy anchor list and stalled heap.
+	// validates the core's Kernel.eff slot while it is idle, the BFS
+	// visited generation, and the core's positions in its domain's busy
+	// anchor list and stalled heap.
 	effStamp uint64     //simany:derived memo validity stamp vs domain.effEpoch, 0 = stale
 	effSeen  uint64     //simany:derived lazyFix visited marker vs domain.effGen, transient per BFS
 	busyPos  int        //simany:derived index in domain.busyList (-1 = idle), rebuilt after decode
@@ -49,8 +48,6 @@ type Core struct {
 
 	//simany:derived immutable topology adjacency, rebuilt by New
 	neighbors []int // topological neighbors (sorted)
-	//simany:derived neighbor effective-time proxies, refreshed from eff at the restore barrier
-	nbEff []vtime.Time
 
 	// Resident tasks. conts and ready are only mutated through the
 	// push/pop helpers below, which maintain the cached queue minima.
@@ -127,7 +124,7 @@ func (c *Core) Eff() vtime.Time {
 	if c.k.effLazy && c.idle {
 		return c.dom.lazyEff(c)
 	}
-	return c.eff
+	return c.k.eff[c.ID]
 }
 
 // Idle reports whether the core has no runnable or stalled resident task.
@@ -166,12 +163,19 @@ func (c *Core) minNeighborEff() vtime.Time {
 		return c.dom.lazyMinNeighborEff(c)
 	}
 	m := vtime.Inf
-	for _, t := range c.nbEff {
+	for _, t := range c.proxies() {
 		if t < m {
 			m = t
 		}
 	}
 	return m
+}
+
+// proxies returns the core's neighbor effective-time proxies, aligned
+// with its neighbors: its row of Kernel.nbEff.
+func (c *Core) proxies() []vtime.Time {
+	k := c.k
+	return k.nbEff[k.adjOff[c.ID]:k.adjOff[c.ID+1]]
 }
 
 // minBirth returns the minimum outstanding birth stamp, Inf if none.

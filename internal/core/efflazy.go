@@ -35,12 +35,14 @@ import (
 // improve the best value found so far. Sparse machines terminate after
 // one or two rings around the nearest busy core.
 //
-// Memoization. Computed values are cached in Core.eff (the same slot the
-// eager path maintains) and stamped with the domain's invalidation epoch
-// (Core.effStamp vs domain.effEpoch). The epoch advances whenever any
-// anchor of the domain changes — a busy core's maintained eff moved, a
-// core flipped busy/idle, or a barrier refreshed the frozen proxies — so
-// a stale memo is never served. Epoch bumps are O(1); nothing is flooded.
+// Memoization. Computed values are cached in the core's Kernel.eff slot
+// (the same slot the eager path maintains) and stamped with the domain's
+// invalidation epoch (Core.effStamp vs domain.effEpoch). The epoch
+// advances whenever any anchor of the domain changes — a busy core's
+// maintained eff moved, a core flipped busy/idle, or a barrier refreshed
+// the frozen proxies — so a stale memo is never served. Epoch bumps are
+// O(1); nothing is flooded. A barrier seeds every idle memo at once by
+// recording its epoch in domain.seedEpoch instead of stamping each core.
 //
 // Determinism. The lazy values equal the eager fixpoint exactly (the BFS
 // computes the same shortest-path minimum the relaxation converges to),
@@ -118,6 +120,13 @@ func (k *Kernel) setupEff(mode EffMode) {
 	if p, isRelay := k.policy.(IdleRelayPolicy); isRelay {
 		delta, ok = p.IdleRelay()
 	}
+	if ok && delta > 0 {
+		// Set in every mode: the barrier refresh inlines the relay rule
+		// whenever the policy's IdleTime is exactly that rule.
+		k.relayDelta = delta
+	} else {
+		ok = false
+	}
 	switch mode {
 	case EffEager:
 		ok = false
@@ -126,7 +135,6 @@ func (k *Kernel) setupEff(mode EffMode) {
 		ok = false // eager stays authoritative; lazy runs as a shadow check
 	}
 	k.effLazy = ok
-	k.relayDelta = delta
 	if k.effLazy || k.effVerify {
 		k.buildLandmarks()
 	}
@@ -224,20 +232,16 @@ func (d *domain) effInvalidate() {
 	d.effEpoch++
 }
 
-// busyAdd registers c as a frontier anchor (it just turned busy).
+// busyAdd registers c on the domain's busy list (it just turned busy).
 func (d *domain) busyAdd(c *Core) {
 	if c.busyPos >= 0 {
 		return
 	}
 	c.busyPos = len(d.busyList)
-	d.busyList = append(d.busyList, c)
+	d.busyList = append(d.busyList, int32(c.ID))
 }
 
-// busyRemove unregisters c from the anchor list (it just turned idle).
-// If c's maintained eff defined the anchor floor, the floor is recomputed
-// exactly — a floor that is too low only slows the BFS cutoff, but this
-// keeps it tight on the workloads that matter (one task retiring after
-// another on the same few cores).
+// busyRemove unregisters c from the busy list (it just turned idle).
 func (d *domain) busyRemove(c *Core) {
 	if c.busyPos < 0 {
 		return
@@ -245,11 +249,18 @@ func (d *domain) busyRemove(c *Core) {
 	last := len(d.busyList) - 1
 	moved := d.busyList[last]
 	d.busyList[c.busyPos] = moved
-	moved.busyPos = c.busyPos
-	d.busyList[last] = nil
+	d.k.cores[moved].busyPos = c.busyPos
 	d.busyList = d.busyList[:last]
 	c.busyPos = -1
-	if c.eff <= d.effFloor {
+}
+
+// anchorRetired re-tightens the anchor floor after c left the busy list:
+// if c's maintained eff defined the floor, the floor is recomputed exactly
+// — a floor that is too low only slows the BFS cutoff, but this keeps it
+// tight on the workloads that matter (one task retiring after another on
+// the same few cores).
+func (d *domain) anchorRetired(c *Core) {
+	if d.k.eff[c.ID] <= d.effFloor {
 		d.recomputeFloor()
 	}
 }
@@ -258,10 +269,11 @@ func (d *domain) busyRemove(c *Core) {
 // maintained eff over the domain's busy cores and the frozen-proxy floor
 // captured at the last barrier.
 func (d *domain) recomputeFloor() {
+	eff := d.k.eff
 	m := d.frozenFloor
 	for _, b := range d.busyList {
-		if b.eff < m {
-			m = b.eff
+		if eff[b] < m {
+			m = eff[b]
 		}
 	}
 	d.effFloor = m
@@ -292,12 +304,12 @@ func (d *domain) lazyEffSite(c *Core) {
 			d.effInvalidate()
 			d.shapeEpoch++
 		}
-		changed := c.eff != c.vt
+		changed := k.eff[c.ID] != c.vt
 		if changed {
-			old := c.eff
-			c.eff = c.vt
+			old := k.eff[c.ID]
+			k.eff[c.ID] = c.vt
 			d.effInvalidate()
-			if old <= d.effFloor && c.eff > d.effFloor {
+			if old <= d.effFloor && c.vt > d.effFloor {
 				// The floor-defining anchor moved up: the (now
 				// conservative) floor stays valid, but age it so it is
 				// re-tightened periodically instead of decaying forever.
@@ -309,8 +321,8 @@ func (d *domain) lazyEffSite(c *Core) {
 		}
 		// Outside the change branch so a re-busy core whose advertised
 		// value survived its idle spell still anchors the floor.
-		if c.eff < d.effFloor {
-			d.effFloor = c.eff
+		if c.vt < d.effFloor {
+			d.effFloor = c.vt
 			d.floorAge = 0
 		}
 		if flipped || changed {
@@ -334,6 +346,7 @@ func (d *domain) lazyEffSite(c *Core) {
 	// neighbors gain an idle neighbor and are re-routed to the stall heap.
 	if c.busyPos >= 0 {
 		d.busyRemove(c)
+		d.anchorRetired(c)
 		c.effStamp = 0
 		d.effInvalidate()
 		d.shapeEpoch++
@@ -351,27 +364,27 @@ func (d *domain) lazyEffSite(c *Core) {
 }
 
 // effSite dispatches the two effective-time maintenance sites in
-// domain.step to the active evaluation scheme: the eager flood, the O(1)
-// lazy bookkeeping, or — under EffVerify — the flood plus the shadow
-// bookkeeping the differential checks need (busy list and anchor floor;
-// the flood itself owns Core.eff).
+// domain.step to the active evaluation scheme: the eager flood plus the
+// busy list every scheme keeps, the O(1) lazy bookkeeping, or — under
+// EffVerify — the flood plus the shadow anchor floor the differential
+// checks need (the flood itself owns Kernel.eff).
 func (d *domain) effSite(c *Core) {
-	if d.k.effLazy {
+	k := d.k
+	if k.effLazy {
 		d.lazyEffSite(c)
 		return
 	}
 	d.updateEff(c)
-	if d.k.effVerify {
-		if !c.idle {
-			if c.busyPos < 0 {
-				d.busyAdd(c)
-			}
-			if c.eff < d.effFloor {
-				d.effFloor = c.eff
-				d.floorAge = 0
-			}
-		} else if c.busyPos >= 0 {
-			d.busyRemove(c)
+	if !c.idle {
+		d.busyAdd(c)
+		if k.effVerify && k.eff[c.ID] < d.effFloor {
+			d.effFloor = k.eff[c.ID]
+			d.floorAge = 0
+		}
+	} else if c.busyPos >= 0 {
+		d.busyRemove(c)
+		if k.effVerify {
+			d.anchorRetired(c)
 		}
 	}
 }
@@ -382,20 +395,21 @@ func (d *domain) effSite(c *Core) {
 // including the busy==0 convention: with no local anchor, idle-only
 // relay chains have no fixpoint and everyone advertises Inf.
 func (d *domain) lazyEff(c *Core) vtime.Time {
+	eff := d.k.eff
 	if !c.idle {
-		return c.eff
+		return eff[c.ID]
 	}
 	if d.busy == 0 {
 		return vtime.Inf
 	}
-	if c.effStamp == d.effEpoch {
-		return c.eff
+	if c.effStamp == d.effEpoch || d.seedEpoch == d.effEpoch {
+		return eff[c.ID]
 	}
 	e := d.lazyFix(c)
 	if !d.k.effVerify {
-		// In verify mode the eager flood owns Core.eff; the lazy shadow
+		// In verify mode the eager flood owns Kernel.eff; the lazy shadow
 		// computation must not overwrite it.
-		c.eff = e
+		eff[c.ID] = e
 		c.effStamp = d.effEpoch
 	}
 	return e
@@ -434,7 +448,7 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 				if nb.dom != d {
 					// Cross-shard frontier: the frozen proxy cc holds for
 					// nb is an anchor at this depth.
-					if p := cc.nbEff[j]; p != vtime.Inf {
+					if p := k.nbEff[int(k.adjOff[cc.ID])+j]; p != vtime.Inf {
 						if v := satAdd(p, cost); v < best {
 							best = v
 						}
@@ -445,7 +459,7 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 					// Local busy frontier: anchor at the maintained eff
 					// (the value as of the core's last step boundary, the
 					// same one the eager flood reads — not the live clock).
-					if v := satAdd(nb.eff, cost); v < best {
+					if v := satAdd(k.eff[nbID], cost); v < best {
 						best = v
 					}
 					continue
@@ -485,11 +499,12 @@ func (d *domain) anchorCanImprove(c *Core, depth int, best vtime.Time) bool {
 		return true
 	}
 	lm := d.k.lmDist
+	eff := d.k.eff
 	ci := c.ID
 	for _, a := range d.busyList {
 		hops := depth + 1
 		for _, dist := range lm {
-			dc, da := dist[ci], dist[a.ID]
+			dc, da := dist[ci], dist[a]
 			if dc < 0 || da < 0 {
 				continue // disconnected from this landmark: no bound
 			}
@@ -501,7 +516,7 @@ func (d *domain) anchorCanImprove(c *Core, depth int, best vtime.Time) bool {
 				hops = diff
 			}
 		}
-		if satAdd(a.eff, satScale(delta, hops)) < best {
+		if satAdd(eff[a], satScale(delta, hops)) < best {
 			return true
 		}
 	}
@@ -519,9 +534,9 @@ func (d *domain) lazyMinNeighborEff(c *Core) vtime.Time {
 		nb := k.cores[nbID]
 		var e vtime.Time
 		if nb.dom != d {
-			e = c.nbEff[j] // frozen between barriers, same as eager
+			e = k.nbEff[int(k.adjOff[c.ID])+j] // frozen between barriers, same as eager
 		} else if !nb.idle {
-			e = nb.eff
+			e = k.eff[nbID]
 		} else {
 			e = d.lazyEff(nb)
 		}
@@ -739,51 +754,39 @@ func (d *domain) pickLazy(limit vtime.Time) (best *Core, key vtime.Time, count i
 
 // resetLazyIdle rebuilds the lazy bookkeeping for the all-idle machine
 // (the busy == 0 branch of refreshEff, reached at barriers and on
-// restore): no anchors, infinite floors, every memo discarded.
+// restore): no anchors (the busy list is already empty), infinite floors,
+// every memo discarded.
 func (d *domain) resetLazyIdle() {
-	clear(d.busyList)
-	d.busyList = d.busyList[:0]
 	d.effFloor = vtime.Inf
 	d.frozenFloor = vtime.Inf
 	d.floorAge = 0
 	d.effInvalidate()
 	d.shapeEpoch++
-	for _, c := range d.cores {
-		c.busyPos = -1
-	}
 }
 
 // rebuildLazyFromRefresh rebuilds the domain's lazy bookkeeping after the
-// barrier-time global relaxation (refreshEff) has left every Core.eff at
-// the global fixpoint: the busy list and exact floors are recomputed, and
-// — in pure lazy mode — every idle core's memo is seeded from its
-// already-correct eff (the global fixpoint restricted to a domain equals
-// the domain-local fixpoint anchored at the freshly frozen proxies).
-// EffVerify deliberately skips the memo seeding so its differential reads
-// keep exercising the BFS instead of comparing the eager state to itself.
+// barrier-time global relaxation (refreshEff) has left Kernel.eff at the
+// global fixpoint, in O(busy + cut edges): the exact floors are
+// recomputed from the busy list and the domain's cut-edge proxies, and —
+// in pure lazy mode — every idle core's memo is seeded at once through
+// seedEpoch from its already-correct eff (the global fixpoint restricted
+// to a domain equals the domain-local fixpoint anchored at the freshly
+// frozen proxies). EffVerify deliberately skips the memo seeding so its
+// differential reads keep exercising the BFS instead of comparing the
+// eager state to itself.
 func (d *domain) rebuildLazyFromRefresh() {
 	k := d.k
-	clear(d.busyList)
-	d.busyList = d.busyList[:0]
 	d.effInvalidate()
 	// Refreshed frozen proxies can move horizons either way: drop the
 	// sticky runnable bits along with the value memos.
 	d.shapeEpoch++
+	if !k.effVerify {
+		d.seedEpoch = d.effEpoch
+	}
 	frozen := vtime.Inf
-	for _, c := range d.cores {
-		if c.idle {
-			c.busyPos = -1
-			if !k.effVerify {
-				c.effStamp = d.effEpoch
-			}
-		} else {
-			c.busyPos = len(d.busyList)
-			d.busyList = append(d.busyList, c)
-		}
-		for j, nbID := range c.neighbors {
-			if k.cores[nbID].dom != d && c.nbEff[j] < frozen {
-				frozen = c.nbEff[j]
-			}
+	for _, e := range d.cutEdges {
+		if p := k.nbEff[e]; p < frozen {
+			frozen = p
 		}
 	}
 	d.frozenFloor = frozen

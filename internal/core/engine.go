@@ -54,12 +54,24 @@ type domain struct {
 	propQueue []int //simany:derived reusable scratch for shadow-time propagation, empty between uses
 	inProp    bool  //simany:derived transient mid-flood marker for the EffVerify gate, false between floods
 
-	// Lazy effective-time state (efflazy.go): the busy frontier anchors,
-	// the memo-invalidation epoch, the exact/conservative anchor floors
-	// and the stalled-core scheduling heap active under lazy evaluation.
-	busyList []*Core //simany:derived frontier anchor list, rebuilt from idle flags at barriers/after decode
+	// busyList holds the IDs of the domain's busy cores (Core.busyPos is
+	// each one's slot), maintained at every busy/idle flip in every
+	// effective-time mode: the barrier refresh anchors on it, and lazy
+	// evaluation treats it as the frontier anchor set.
+	busyList []int32 //simany:derived busy-core list, rebuilt from idle flags after decode
+
+	// Lazy effective-time state (efflazy.go): the memo-invalidation
+	// epochs, the exact/conservative anchor floors and the stalled-core
+	// scheduling heap active under lazy evaluation.
 	sq       *stallq //simany:derived stalled-core heap, rebuilt by schedRebuild after decode
 	effEpoch uint64  //simany:derived memo invalidation epoch, bumping it after decode discards all memos
+	// seedEpoch is the effEpoch at which a barrier seeded every idle
+	// memo at once from the refreshed Kernel.eff: while the two are
+	// equal, every idle core's memo is fresh regardless of its stamp.
+	seedEpoch uint64 //simany:derived barrier memo-seeding epoch, 0 (never fresh) until the next refresh
+	// cutEdges lists the Kernel.nbEff slots of owned cores whose neighbor
+	// belongs to another domain: the frozen cross-shard proxies.
+	cutEdges []int32 //simany:derived immutable partition cut, rebuilt by setupEngine
 	// shapeEpoch advances only when the anchor *set* changes (a busy/idle
 	// flip, a barrier refresh) — never on pure value moves, which are
 	// monotone. A stalled core's sticky runnable bit (Core.rnStamp) is
@@ -385,8 +397,8 @@ func (d *domain) updateEff(c *Core) {
 		}
 		d.allIdleInf = true
 		for _, cc := range d.cores {
-			if cc.eff != vtime.Inf {
-				cc.eff = vtime.Inf
+			if k.eff[cc.ID] != vtime.Inf {
+				k.eff[cc.ID] = vtime.Inf
 				for _, nbID := range cc.neighbors {
 					nb := k.cores[nbID]
 					if nb.dom != d {
@@ -394,7 +406,7 @@ func (d *domain) updateEff(c *Core) {
 					}
 					for j, nid := range nb.neighbors {
 						if nid == cc.ID {
-							nb.nbEff[j] = vtime.Inf
+							nb.proxies()[j] = vtime.Inf
 							break
 						}
 					}
@@ -416,10 +428,10 @@ func (d *domain) updateEff(c *Core) {
 		} else {
 			eff = cc.vt
 		}
-		if eff == cc.eff {
+		if eff == k.eff[cc.ID] {
 			continue
 		}
-		cc.eff = eff
+		k.eff[cc.ID] = eff
 		for _, nbID := range cc.neighbors {
 			nb := k.cores[nbID]
 			if nb.dom != d {
@@ -428,8 +440,8 @@ func (d *domain) updateEff(c *Core) {
 			// Update the proxy this neighbor keeps for cc.
 			for j, nid := range nb.neighbors {
 				if nid == cc.ID {
-					if nb.nbEff[j] != eff {
-						nb.nbEff[j] = eff
+					if p := nb.proxies(); p[j] != eff {
+						p[j] = eff
 						if nb.current != nil {
 							// A moved proxy moves the stalled neighbor's
 							// horizon, which is the one runnability input

@@ -187,7 +187,8 @@ type Kernel struct {
 	// Effective-time evaluation (efflazy.go): effLazy arms the lazy
 	// idle-region machinery, effVerify runs the eager flood as the source
 	// of truth and cross-checks every lazy computation against it, and
-	// relayDelta caches the policy's per-hop relay increment. inRefresh
+	// relayDelta caches the policy's per-hop relay increment (0 when the
+	// policy's IdleTime is not the relay rule, in any mode). inRefresh
 	// gates the verify hook while the barrier relaxation is mid-flight.
 	effLazy    bool       //simany:derived eff-mode configuration, reinstated by New
 	effVerify  bool       //simany:derived eff-mode configuration, reinstated by New
@@ -195,11 +196,26 @@ type Kernel struct {
 	inRefresh  bool       //simany:derived transient: checkpoints only happen outside refreshEff
 	lmDist     [][]int32  //simany:derived landmark hop-distance tables, rebuilt by setupEff from the topology
 
+	// Flat effective-time state (shard.go, efflazy.go), indexed by core
+	// ID so the barrier refresh walks small arrays instead of Core
+	// structs. eff is each core's advertised effective time (vt when
+	// busy, shadow time when idle; under lazy evaluation an idle core's
+	// value is a memo, see Core.effStamp). adjOff/adj are the adjacency
+	// in CSR form — core c's neighbors are adj[adjOff[c]:adjOff[c+1]],
+	// aligned with Core.neighbors — and nbEff holds the neighbor proxies
+	// in the same order (Core.proxies returns one core's row).
+	eff    []vtime.Time //simany:derived effective-time state, recomputed by refreshEff after decode
+	adjOff []int32      //simany:derived CSR offsets, rebuilt by New from the topology
+	adj    []int32      //simany:derived CSR neighbor targets, rebuilt by New from the topology
+	nbEff  []vtime.Time //simany:derived neighbor proxies, refreshed from eff by refreshEff after decode
+
 	// Barrier scratch buffers, reused across rounds: the merged deferred
-	// items drained at each barrier and the worklist of the global
-	// effective-time relaxation.
+	// items drained at each barrier, and the refresh's per-core marks
+	// (zero between barriers), FIFO ring and changed-stalled-core list.
 	barrierItems []deferredItem //simany:derived barrier scratch, empty between rounds
-	effQueue     []int          //simany:derived relaxation scratch, empty between rounds
+	effMark      []uint8        //simany:derived refresh scratch, all zero between barriers
+	effRing      []int32        //simany:derived relaxation scratch, contents dead between barriers
+	effStalled   []*Core        //simany:derived refresh scratch, empty between barriers
 
 	steps atomic.Int64
 	//simany:derived step budget from Config, reinstated by New
@@ -382,9 +398,15 @@ func New(cfg Config) *Kernel {
 	timers := make([]timing.BlockTimer, n)
 	l1s := make([]cache.Scoped, n)
 	l2s := make([]cache.L2, n)
-	nbEffFlat := make([]vtime.Time, cfg.Topo.NumLinks())
-	for i := range nbEffFlat {
-		nbEffFlat[i] = vtime.Inf
+	k.eff = make([]vtime.Time, n)
+	k.adjOff = make([]int32, n+1)
+	k.adj = make([]int32, cfg.Topo.NumLinks())
+	k.nbEff = make([]vtime.Time, cfg.Topo.NumLinks())
+	for i := range k.eff {
+		k.eff[i] = vtime.Inf
+	}
+	for i := range k.nbEff {
+		k.nbEff[i] = vtime.Inf
 	}
 	off := 0
 	for i := 0; i < n; i++ {
@@ -407,7 +429,6 @@ func New(cfg Config) *Kernel {
 			Speed:      speed,
 			k:          k,
 			idle:       true,
-			eff:        vtime.Inf,
 			neighbors:  cfg.Topo.Neighbors(i),
 			timer:      &timers[i],
 			l1:         &l1s[i],
@@ -420,9 +441,11 @@ func New(cfg Config) *Kernel {
 			stallPos:   -1,
 			rng:        *rng.New(splitmix64(uint64(cfg.Seed) ^ uint64(i))),
 		}
-		deg := len(c.neighbors)
-		c.nbEff = nbEffFlat[off : off+deg : off+deg]
-		off += deg
+		for _, nb := range c.neighbors {
+			k.adj[off] = int32(nb)
+			off++
+		}
+		k.adjOff[i+1] = int32(off)
 		k.cores[i] = c
 	}
 	k.setupEngine(cfg)
@@ -491,6 +514,11 @@ func (k *Kernel) setupEngine(cfg Config) {
 		d := k.domains[k.part[i]]
 		c.dom = d
 		d.cores = append(d.cores, c)
+		for e := k.adjOff[i]; e < k.adjOff[i+1]; e++ {
+			if k.part[k.adj[e]] != d.id {
+				d.cutEdges = append(d.cutEdges, e)
+			}
+		}
 	}
 	k.setupEff(cfg.Eff)
 	k.setupScheduler(cfg.Sched)

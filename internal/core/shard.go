@@ -225,31 +225,58 @@ func (k *Kernel) drainBarrier() {
 	k.barrierItems = items[:0]
 }
 
+// Refresh marks (Kernel.effMark): set for the duration of one refreshEff
+// and cleared before it returns.
+const (
+	markBusy   uint8 = 1 << iota // the core anchors the relaxation at its clock
+	markQueued                   // the core sits in the relaxation ring
+)
+
 // refreshEff rebuilds every core's advertised effective time and all
 // neighbor proxies from global state: busy cores anchor at their clocks,
 // idle cores relax downward from Inf through the policy's shadow-time rule
 // until the (unique) fixpoint. Running it single-threaded at each barrier
 // restores the cross-shard proxies that stayed frozen during the round.
 //
-// Lazy evaluation (efflazy.go) runs the same global relaxation — the
-// frozen proxies a round reads must hold the barrier fixpoint either way
-// — but inlines the relay rule instead of calling the policy (whose
-// IdleTime routes through the lazy reads, meaningless mid-relaxation) and
-// afterwards rebuilds the per-domain lazy bookkeeping, seeding every idle
-// memo from the freshly computed fixpoint.
+// It works on the flat state (Kernel.eff, adj, nbEff) and touches Core
+// structs only for busy cores (taken from the per-domain busy lists) and
+// for the stalled cores whose proxies changed:
+//
+//  1. eff := Inf everywhere, then each busy core's clock.
+//  2. Relax a FIFO worklist seeded with the idle neighbors of busy cores
+//     — the only cores whose value can drop below Inf first — in pull
+//     form: an idle core recomputes its value from its neighbors' eff,
+//     and an improvement enqueues the idle neighbors not already queued
+//     that it could still improve (relaxIdle). The fixpoint does not
+//     depend on the order.
+//  3. Gather every proxy, nbEff[e] = eff[adj[e]], noting first which
+//     stalled cores see a changed proxy.
+//  4. Rebuild the lazy bookkeeping in O(busy + cut edges) per domain
+//     (lazy and verify modes), then post one schedUpdate per stalled core
+//     noted in step 3 — the only runnability input the refresh moves.
+//     Picks break ties on (key, ID), a total order, so neither the number
+//     nor the order of these updates can change a pick.
+//
+// Policies implementing IdleRelayPolicy get the relay rule inlined in
+// every effective-time mode (the policy's IdleTime is exactly that
+// computation, and under lazy evaluation it would recurse into the lazy
+// reads mid-relaxation); any other policy has an idle core's proxies
+// gathered and its IdleTime called, with every idle core seeded, since a
+// general IdleTime may be finite with no finite neighbor.
 func (k *Kernel) refreshEff() {
 	k.inRefresh = true
 	defer func() { k.inRefresh = false }()
+	eff, nbEff := k.eff, k.nbEff
+	for i := range eff {
+		eff[i] = vtime.Inf
+	}
 	busy := 0
 	for _, d := range k.domains {
 		busy += d.busy
 	}
 	if busy == 0 {
-		for _, c := range k.cores {
-			c.eff = vtime.Inf
-			for j := range c.nbEff {
-				c.nbEff[j] = vtime.Inf
-			}
+		for e := range nbEff {
+			nbEff[e] = vtime.Inf
 		}
 		for _, d := range k.domains {
 			d.allIdleInf = true
@@ -259,81 +286,129 @@ func (k *Kernel) refreshEff() {
 		}
 		return
 	}
-	for _, c := range k.cores {
-		if c.idle {
-			c.eff = vtime.Inf
-		} else {
-			c.eff = c.vt
-		}
+	if k.effMark == nil {
+		k.effMark = make([]uint8, len(eff))
+		// A core sits in the ring at most once at a time.
+		k.effRing = make([]int32, len(eff))
 	}
+	// Step 1 (the Inf reset ran above): anchor the busy cores.
+	mark, adj, off := k.effMark, k.adj, k.adjOff
 	for _, d := range k.domains {
 		d.allIdleInf = false
+		for _, b := range d.busyList {
+			eff[b] = k.cores[b].vt
+			mark[b] = markBusy
+		}
 	}
-	for _, c := range k.cores {
-		changed := false
-		for j, nbID := range c.neighbors {
-			if e := k.cores[nbID].eff; c.nbEff[j] != e {
-				c.nbEff[j] = e
-				changed = true
+	k.relaxIdle()
+
+	// Step 3: note the stalled cores whose proxies move, then gather.
+	stalled := k.effStalled[:0]
+	for _, d := range k.domains {
+		for _, b := range d.busyList {
+			mark[b] = 0
+			c := k.cores[b]
+			if c.current == nil {
+				continue
 			}
-		}
-		if changed && c.current != nil {
-			// Unfrozen cross-shard proxies move the stalled core's
-			// horizon; re-evaluate its queue entry (the only runnability
-			// input not already settled by step/queue hooks).
-			c.dom.schedUpdate(c)
-		}
-	}
-	// Downward-only relaxation: order-independent, so any worklist order
-	// yields the same fixpoint. The worklist is kernel scratch reused
-	// across barriers, drained through a cursor so the backing array
-	// survives intact for the next round.
-	queue := k.effQueue[:0]
-	for _, c := range k.cores {
-		if c.idle {
-			queue = append(queue, c.ID)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		c := k.cores[queue[head]]
-		var e vtime.Time
-		if k.effLazy {
-			// The inlined relay rule over the raw proxies (the lazy-mode
-			// gate guarantees IdleTime is exactly this computation).
-			m := vtime.Inf
-			for _, t := range c.nbEff {
-				if t < m {
-					m = t
-				}
-			}
-			e = satAdd(m, k.relayDelta)
-		} else {
-			e = k.policy.IdleTime(c)
-		}
-		if e >= c.eff {
-			continue
-		}
-		c.eff = e
-		for _, nbID := range c.neighbors {
-			nb := k.cores[nbID]
-			for j, nid := range nb.neighbors {
-				if nid == c.ID {
-					nb.nbEff[j] = e
+			for e := off[b]; e < off[b+1]; e++ {
+				if nbEff[e] != eff[adj[e]] {
+					stalled = append(stalled, c)
 					break
 				}
 			}
-			if nb.current != nil {
-				nb.dom.schedUpdate(nb)
-			}
-			if nb.idle {
-				queue = append(queue, nbID)
-			}
 		}
 	}
-	k.effQueue = queue[:0]
+	for e, nb := range adj {
+		nbEff[e] = eff[nb]
+	}
+
+	// Step 4: lazy bookkeeping, then the scheduler updates, which may
+	// read it.
 	if k.effLazy || k.effVerify {
 		for _, d := range k.domains {
 			d.rebuildLazyFromRefresh()
+		}
+	}
+	for _, c := range stalled {
+		// Unfrozen cross-shard proxies move the stalled core's horizon;
+		// re-evaluate its queue entry (the only runnability input not
+		// already settled by step/queue hooks).
+		c.dom.schedUpdate(c)
+	}
+	clear(stalled)
+	k.effStalled = stalled[:0]
+}
+
+// relaxIdle is step 2 of refreshEff: with busy cores marked and anchored
+// in Kernel.eff and every idle core at Inf, it lowers the idle cores to
+// the shadow-time fixpoint through a FIFO ring of core IDs. Every queued
+// mark it sets is cleared again.
+func (k *Kernel) relaxIdle() {
+	eff, nbEff, mark, ring := k.eff, k.nbEff, k.effMark, k.effRing
+	adj, off := k.adj, k.adjOff
+	delta := k.relayDelta
+	relay := delta > 0
+	n := len(ring)
+	head, tail, queued := 0, 0, 0
+	push := func(c int32) {
+		mark[c] |= markQueued
+		ring[tail] = c
+		if tail++; tail == n {
+			tail = 0
+		}
+		queued++
+	}
+	if relay {
+		for _, d := range k.domains {
+			for _, b := range d.busyList {
+				for _, nb := range adj[off[b]:off[b+1]] {
+					if mark[nb] == 0 {
+						push(nb)
+					}
+				}
+			}
+		}
+	} else {
+		for c, m := range mark {
+			if m == 0 {
+				push(int32(c))
+			}
+		}
+	}
+	for ; queued > 0; queued-- {
+		c := ring[head]
+		if head++; head == n {
+			head = 0
+		}
+		mark[c] &^= markQueued
+		var e vtime.Time
+		if relay {
+			m := vtime.Inf
+			for _, nb := range adj[off[c]:off[c+1]] {
+				if eff[nb] < m {
+					m = eff[nb]
+				}
+			}
+			e = satAdd(m, delta)
+		} else {
+			for i := off[c]; i < off[c+1]; i++ {
+				nbEff[i] = eff[adj[i]]
+			}
+			e = k.policy.IdleTime(k.cores[c])
+		}
+		if e >= eff[c] {
+			continue
+		}
+		eff[c] = e
+		// Under the relay rule a neighbor can only improve through c if
+		// e+delta beats its current value; skipping the others (c's own
+		// predecessors, above all) halves the pops on a sparse machine.
+		via := satAdd(e, delta)
+		for _, nb := range adj[off[c]:off[c+1]] {
+			if mark[nb] == 0 && (!relay || via < eff[nb]) {
+				push(nb)
+			}
 		}
 	}
 }

@@ -569,12 +569,15 @@ func (d *domain) restore(dec *snap.Decoder) error {
 	}
 	d.runnableMax = int(rmax)
 	d.busy = 0
+	d.busyList = d.busyList[:0]
 	for _, c := range d.cores {
 		if err := c.restore(dec); err != nil {
 			return fmt.Errorf("core %d: %w", c.ID, err)
 		}
+		c.busyPos = -1
 		if !c.idle {
 			d.busy++
+			d.busyAdd(c)
 		}
 	}
 	nblocked, err := dec.Uvarint()

@@ -15,10 +15,12 @@ import (
 //   - every neighbor-proxy entry mirrors the neighbor's advertised time
 //     (eager mode only — lazy mode replaces this with the region checks
 //     below);
-//   - with lazy effective times active: the busy-frontier list partitions
-//     each domain's cores against their idle flags, the pruning floor
-//     lower-bounds every anchor (busy cores and frozen foreign proxies),
-//     and every fresh idle memo equals an independently recomputed eager
+//   - each domain's busy list partitions its cores against their idle
+//     flags, with exact back-pointers;
+//   - with lazy effective times active: the pruning floor lower-bounds
+//     every anchor (busy cores and frozen foreign proxies), and every
+//     fresh idle memo — stamped, or seeded by the last barrier through
+//     the domain's seed epoch — equals an independently recomputed eager
 //     fixpoint;
 //   - a busy core never advertises a time ahead of its own clock;
 //   - the cached minimum birth stamp matches the birth map;
@@ -40,9 +42,14 @@ func (k *Kernel) Validate() error {
 			// Virtual-time updates propagate at yield points, so a busy
 			// core's advertised time may lag its clock mid-step — but it
 			// must never lead it.
-			if c.eff > c.vt {
-				return fmt.Errorf("core %d: busy but advertises future time %v (clock %v)", c.ID, c.eff, c.vt)
+			if e := k.eff[c.ID]; e > c.vt {
+				return fmt.Errorf("core %d: busy but advertises future time %v (clock %v)", c.ID, e, c.vt)
 			}
+			if c.busyPos < 0 {
+				return fmt.Errorf("domain %d: busy core %d missing from busy list", c.dom.id, c.ID)
+			}
+		} else if c.busyPos >= 0 {
+			return fmt.Errorf("domain %d: idle core %d claims busy-list slot %d", c.dom.id, c.ID, c.busyPos)
 		}
 		if !k.effLazy {
 			for j, nbID := range c.neighbors {
@@ -55,9 +62,9 @@ func (k *Kernel) Validate() error {
 				if nb.dom != c.dom {
 					continue
 				}
-				if c.nbEff[j] != nb.eff {
+				if p := c.proxies()[j]; p != k.eff[nbID] {
 					return fmt.Errorf("core %d: proxy for neighbor %d is %v, neighbor advertises %v",
-						c.ID, nbID, c.nbEff[j], nb.eff)
+						c.ID, nbID, p, k.eff[nbID])
 				}
 			}
 		}
@@ -112,6 +119,20 @@ func (k *Kernel) Validate() error {
 	if busy != tracked {
 		return fmt.Errorf("busy-core counter %d, actual %d", tracked, busy)
 	}
+	for _, d := range k.domains {
+		if len(d.busyList) != d.busy {
+			return fmt.Errorf("domain %d: busy list holds %d cores, counter says %d", d.id, len(d.busyList), d.busy)
+		}
+		for i, id := range d.busyList {
+			c := k.cores[id]
+			if c.idle || c.dom != d {
+				return fmt.Errorf("domain %d: idle or foreign core %d on busy list", d.id, id)
+			}
+			if c.busyPos != i {
+				return fmt.Errorf("domain %d: core %d busy-list back-pointer %d, actual slot %d", d.id, id, c.busyPos, i)
+			}
+		}
+	}
 	if k.effLazy {
 		if err := k.checkLazyEff(); err != nil {
 			return err
@@ -144,46 +165,37 @@ func (k *Kernel) Validate() error {
 }
 
 // checkLazyEff verifies the lazy effective-time bookkeeping (efflazy.go):
-// the busy-frontier list agrees with the idle flags, the pruning floors
-// lower-bound every anchor, and every fresh memo matches an independently
-// recomputed eager fixpoint over the domain (anchored at busy cores and
-// frozen foreign proxies — exactly the inputs lazyFix reads).
+// the pruning floors lower-bound every anchor, the cut-edge list names
+// exactly the domain's cross-shard proxy slots, and every fresh memo —
+// stamped by lazyEff or seeded by the last barrier — matches an
+// independently recomputed eager fixpoint over the domain (anchored at
+// busy cores and frozen foreign proxies — exactly the inputs lazyFix
+// reads).
 func (k *Kernel) checkLazyEff() error {
-	// coreID-indexed scratch for the reference fixpoint; doubles as the
-	// membership check for busyList back-pointers.
+	// coreID-indexed scratch for the reference fixpoint.
 	fix := make([]vtime.Time, len(k.cores))
 	for _, d := range k.domains {
-		if len(d.busyList) != d.busy {
-			return fmt.Errorf("domain %d: busy list holds %d cores, counter says %d", d.id, len(d.busyList), d.busy)
-		}
-		for i, c := range d.busyList {
-			if c.idle {
-				return fmt.Errorf("domain %d: idle core %d on busy list", d.id, c.ID)
-			}
-			if c.busyPos != i {
-				return fmt.Errorf("domain %d: core %d busy-list back-pointer %d, actual slot %d", d.id, c.ID, c.busyPos, i)
-			}
-			if c.eff < d.effFloor {
-				return fmt.Errorf("domain %d: floor %v above busy core %d anchor %v", d.id, d.effFloor, c.ID, c.eff)
+		for _, id := range d.busyList {
+			if e := k.eff[id]; e < d.effFloor {
+				return fmt.Errorf("domain %d: floor %v above busy core %d anchor %v", d.id, d.effFloor, id, e)
 			}
 		}
 		if d.frozenFloor < d.effFloor {
 			return fmt.Errorf("domain %d: floor %v above frozen-proxy floor %v", d.id, d.effFloor, d.frozenFloor)
 		}
+		cut := 0
 		for _, c := range d.cores {
-			if c.idle && c.busyPos >= 0 {
-				return fmt.Errorf("domain %d: idle core %d claims busy-list slot %d", d.id, c.ID, c.busyPos)
-			}
-			if !c.idle && c.busyPos < 0 {
-				return fmt.Errorf("domain %d: busy core %d missing from busy list", d.id, c.ID)
-			}
 			idleNb := int32(0)
 			for j, nbID := range c.neighbors {
 				nb := k.cores[nbID]
 				if nb.dom != d {
-					if c.nbEff[j] < d.frozenFloor {
+					if cut >= len(d.cutEdges) || int(d.cutEdges[cut]) != int(k.adjOff[c.ID])+j {
+						return fmt.Errorf("domain %d: cut-edge list misses core %d's proxy slot for foreign neighbor %d", d.id, c.ID, nbID)
+					}
+					cut++
+					if p := c.proxies()[j]; p < d.frozenFloor {
 						return fmt.Errorf("domain %d: frozen-proxy floor %v above core %d's proxy %v for foreign neighbor %d",
-							d.id, d.frozenFloor, c.ID, c.nbEff[j], nbID)
+							d.id, d.frozenFloor, c.ID, p, nbID)
 					}
 				} else if nb.idle {
 					idleNb++
@@ -193,6 +205,9 @@ func (k *Kernel) checkLazyEff() error {
 				return fmt.Errorf("domain %d: core %d idle-neighbor count %d, actual %d", d.id, c.ID, c.idleNb, idleNb)
 			}
 		}
+		if cut != len(d.cutEdges) {
+			return fmt.Errorf("domain %d: cut-edge list holds %d slots, partition has %d", d.id, len(d.cutEdges), cut)
+		}
 		// Reference fixpoint: seed anchors, relax idle cores downward
 		// through local idle paths only. Frozen foreign proxies enter as
 		// leaf anchors via nbEff, never as relaxation targets — mirroring
@@ -201,7 +216,7 @@ func (k *Kernel) checkLazyEff() error {
 			if c.idle {
 				fix[c.ID] = vtime.Inf
 			} else {
-				fix[c.ID] = c.eff
+				fix[c.ID] = k.eff[c.ID]
 			}
 		}
 		for changed := true; changed; {
@@ -215,7 +230,7 @@ func (k *Kernel) checkLazyEff() error {
 					nb := k.cores[nbID]
 					var e vtime.Time
 					if nb.dom != d {
-						e = c.nbEff[j]
+						e = c.proxies()[j]
 					} else {
 						e = fix[nbID]
 					}
@@ -229,16 +244,21 @@ func (k *Kernel) checkLazyEff() error {
 				}
 			}
 		}
+		seeded := d.seedEpoch == d.effEpoch
 		for _, c := range d.cores {
-			if !c.idle || c.effStamp != d.effEpoch {
+			if !c.idle || (c.effStamp != d.effEpoch && !seeded) {
 				continue
 			}
 			// Fresh memos come from lazyFix (anchored at local busy cores
 			// and frozen proxies) or from barrier seeding (the global
 			// fixpoint, which path-decomposes to the same local relaxation).
 			// Either way they must match the reference value.
-			if c.eff != fix[c.ID] {
-				return fmt.Errorf("domain %d: idle core %d memo %v, eager fixpoint %v", d.id, c.ID, c.eff, fix[c.ID])
+			if e := k.eff[c.ID]; e != fix[c.ID] {
+				how := "memo"
+				if seeded {
+					how = "seeded memo"
+				}
+				return fmt.Errorf("domain %d: idle core %d %s %v, eager fixpoint %v", d.id, c.ID, how, e, fix[c.ID])
 			}
 		}
 	}

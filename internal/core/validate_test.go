@@ -38,13 +38,13 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	// maintained (lazy evaluation leaves them stale between barriers).
 	k := New(Config{Topo: topology.Mesh(4), Seed: 1, Eff: EffEager})
 	// Corrupt a neighbor proxy directly.
-	k.cores[0].nbEff[0] = vtime.CyclesInt(12345)
+	k.cores[0].proxies()[0] = vtime.CyclesInt(12345)
 	err := k.Validate()
 	if err == nil || !strings.Contains(err.Error(), "proxy") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 	// Repair and corrupt the busy counter instead.
-	k.cores[0].nbEff[0] = k.cores[k.cores[0].neighbors[0]].eff
+	k.cores[0].proxies()[0] = k.eff[k.cores[0].neighbors[0]]
 	k.domains[0].busy = 3
 	err = k.Validate()
 	if err == nil || !strings.Contains(err.Error(), "busy-core") {
@@ -69,20 +69,28 @@ func TestValidateDetectsLazyCorruption(t *testing.T) {
 	// An idle core smuggled onto the busy-frontier list.
 	c := k.cores[0]
 	c.busyPos = 0
-	d.busyList = append(d.busyList, c)
+	d.busyList = append(d.busyList, int32(c.ID))
 	err := k.Validate()
-	if err == nil || !strings.Contains(err.Error(), "busy list") {
+	if err == nil || !strings.Contains(err.Error(), "busy-list slot") {
 		t.Fatalf("busy-list corruption not detected: %v", err)
 	}
 	d.busyList = d.busyList[:0]
 	c.busyPos = -1
 	// A fresh memo that disagrees with the eager fixpoint (all-idle
 	// machine: every idle core's fixpoint value is Inf).
-	c.eff = vtime.CyclesInt(777)
+	k.eff[c.ID] = vtime.CyclesInt(777)
 	c.effStamp = d.effEpoch
 	err = k.Validate()
 	if err == nil || !strings.Contains(err.Error(), "fixpoint") {
 		t.Fatalf("memo corruption not detected: %v", err)
+	}
+	// The same value served through the barrier seed epoch instead of
+	// the core's own stamp.
+	c.effStamp = 0
+	d.seedEpoch = d.effEpoch
+	err = k.Validate()
+	if err == nil || !strings.Contains(err.Error(), "seeded memo") {
+		t.Fatalf("seeded-memo corruption not detected: %v", err)
 	}
 }
 

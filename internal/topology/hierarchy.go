@@ -217,6 +217,10 @@ func ParseChipletSpec(spec string) (*Hierarchy, error) {
 		if err != nil {
 			return nil, fmt.Errorf("topology: chiplet spec %q: %v", p, err)
 		}
+		if limit := vtime.Cycles(maxTierCycles); tr.Lat > limit || tr.Penalty > limit {
+			return nil, fmt.Errorf("topology: chiplet spec %q: %s latency %v or penalty %v exceeds %g cycles",
+				p, TierName(i), tr.Lat, tr.Penalty, float64(maxTierCycles))
+		}
 		tr.W, tr.H = w, h
 		tiers = append(tiers, tr)
 		prevLat, prevBW = tr.Lat, tr.BW
@@ -246,23 +250,38 @@ func parseTierParams(s string, tr *Tier) error {
 		tr.BW = bw
 	}
 	if latS != "" {
-		f, err := strconv.ParseFloat(latS, 64)
-		if err != nil || f < 0 {
+		lat, ok := parseTierCycles(latS)
+		if !ok {
 			return fmt.Errorf("bad latency %q", latS)
 		}
-		tr.Lat = vtime.Cycles(f)
+		tr.Lat = lat
 		if tr.Penalty != 0 && pen == "" {
 			tr.Penalty = tr.Lat / 2
 		}
 	}
 	if pen != "" {
-		f, err := strconv.ParseFloat(pen, 64)
-		if err != nil || f < 0 {
+		p, ok := parseTierCycles(pen)
+		if !ok {
 			return fmt.Errorf("bad penalty %q", pen)
 		}
-		tr.Penalty = vtime.Cycles(f)
+		tr.Penalty = p
 	}
 	return nil
+}
+
+// maxTierCycles bounds a tier's link latency and boundary penalty: far
+// beyond any real interconnect, and small enough that derived defaults
+// (4× per tier) and latency + penalty sums never overflow virtual time.
+const maxTierCycles = 1e9
+
+// parseTierCycles parses a cycle count in [0, maxTierCycles]; NaN and
+// infinities are rejected.
+func parseTierCycles(s string) (vtime.Time, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(f >= 0 && f <= maxTierCycles) {
+		return 0, false
+	}
+	return vtime.Cycles(f), true
 }
 
 func parseDims(s string) (w, h int, err error) {
@@ -278,64 +297,128 @@ func parseDims(s string) (w, h int, err error) {
 	return w, h, nil
 }
 
+// maxSpecCores bounds the machine a textual spec may describe (16M
+// cores). It keeps the size arithmetic of ParseSpec far from integer
+// overflow; the largest bundled machine (102400 cores) sits well below it.
+const maxSpecCores = 1 << 24
+
 // ParseSpec builds a topology from a textual spec: "mesh:WxH",
 // "torus:WxH", "ring:N", "star:N", "full:N", "clustered:K:N" (K clusters of
 // an N-core machine) or "chiplet:<tiers>" (see ParseChipletSpec). A bare
-// integer builds the most-square mesh of that many cores.
+// integer builds the most-square mesh of that many cores. Every malformed
+// spec — including a core count that is zero, negative or above 16M —
+// is an error, never a panic.
 func ParseSpec(spec string) (*Topology, error) {
+	p, err := planSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return p.build(), nil
+}
+
+// CheckSpec validates a spec exactly as ParseSpec does, without building
+// the machine.
+func CheckSpec(spec string) error {
+	_, err := planSpec(spec)
+	return err
+}
+
+// specPlan is a parsed and validated spec: the core count it describes and
+// the constructor that builds it. Sizes are checked before anything is
+// allocated.
+type specPlan struct {
+	cores int
+	build func() *Topology
+}
+
+func planSpec(spec string) (specPlan, error) {
 	kind, rest := spec, ""
 	if c := strings.IndexByte(spec, ':'); c >= 0 {
 		kind, rest = spec[:c], spec[c+1:]
+	}
+	badCount := func() (specPlan, error) {
+		return specPlan{}, fmt.Errorf("topology: spec %q: bad core count %q", spec, rest)
 	}
 	switch kind {
 	case "chiplet":
 		h, err := ParseChipletSpec(rest)
 		if err != nil {
-			return nil, err
+			return specPlan{}, err
 		}
-		return Chiplet(h.Tiers), nil
+		n := 1
+		for _, tr := range h.Tiers {
+			n = capCores(capCores(n, tr.W), tr.H)
+		}
+		return sizedPlan(spec, n, func() *Topology { return Chiplet(h.Tiers) })
 	case "mesh":
 		if n, err := strconv.Atoi(rest); err == nil {
-			return Mesh(n), nil
+			if n < 1 {
+				return badCount()
+			}
+			return sizedPlan(spec, n, func() *Topology { return Mesh(n) })
 		}
 		w, h, err := parseDims(rest)
 		if err != nil {
-			return nil, fmt.Errorf("topology: spec %q: %v", spec, err)
+			return specPlan{}, fmt.Errorf("topology: spec %q: %v", spec, err)
 		}
-		return Mesh2D(w, h, DefaultLatency, DefaultBandwidth), nil
+		return sizedPlan(spec, capCores(w, h), func() *Topology {
+			return Mesh2D(w, h, DefaultLatency, DefaultBandwidth)
+		})
 	case "torus":
 		w, h, err := parseDims(rest)
 		if err != nil {
-			return nil, fmt.Errorf("topology: spec %q: %v", spec, err)
+			return specPlan{}, fmt.Errorf("topology: spec %q: %v", spec, err)
 		}
-		return Torus2D(w, h, DefaultLatency, DefaultBandwidth), nil
+		return sizedPlan(spec, capCores(w, h), func() *Topology {
+			return Torus2D(w, h, DefaultLatency, DefaultBandwidth)
+		})
 	case "ring", "star", "full":
 		n, err := strconv.Atoi(rest)
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("topology: spec %q: bad core count %q", spec, rest)
+			return badCount()
 		}
-		switch kind {
-		case "ring":
-			return Ring(n, DefaultLatency, DefaultBandwidth), nil
-		case "star":
-			return Star(n, DefaultLatency, DefaultBandwidth), nil
-		}
-		return FullyConnected(n, DefaultLatency, DefaultBandwidth), nil
+		return sizedPlan(spec, n, func() *Topology {
+			switch kind {
+			case "ring":
+				return Ring(n, DefaultLatency, DefaultBandwidth)
+			case "star":
+				return Star(n, DefaultLatency, DefaultBandwidth)
+			}
+			return FullyConnected(n, DefaultLatency, DefaultBandwidth)
+		})
 	case "clustered":
 		kS, nS, ok := strings.Cut(rest, ":")
 		if !ok {
-			return nil, fmt.Errorf("topology: spec %q: want clustered:K:N", spec)
+			return specPlan{}, fmt.Errorf("topology: spec %q: want clustered:K:N", spec)
 		}
 		k, err1 := strconv.Atoi(kS)
 		n, err2 := strconv.Atoi(nS)
 		if err1 != nil || err2 != nil || k < 1 || n < 1 || n%k != 0 {
-			return nil, fmt.Errorf("topology: spec %q: want clustered:K:N with K dividing N", spec)
+			return specPlan{}, fmt.Errorf("topology: spec %q: want clustered:K:N with K dividing N", spec)
 		}
-		return Clustered(n, DefaultClusteredParams(k)), nil
+		return sizedPlan(spec, n, func() *Topology { return Clustered(n, DefaultClusteredParams(k)) })
 	default:
 		if n, err := strconv.Atoi(spec); err == nil && n >= 1 {
-			return Mesh(n), nil
+			return sizedPlan(spec, n, func() *Topology { return Mesh(n) })
 		}
-		return nil, fmt.Errorf("topology: unknown spec %q", spec)
+		return specPlan{}, fmt.Errorf("topology: unknown spec %q", spec)
 	}
+}
+
+// capCores multiplies two positive factors of a core count, saturating
+// just above maxSpecCores so the product never overflows.
+func capCores(a, b int) int {
+	if a > maxSpecCores/b {
+		return maxSpecCores + 1
+	}
+	return a * b
+}
+
+// sizedPlan admits a plan of n cores, rejecting machines above
+// maxSpecCores.
+func sizedPlan(spec string, n int, build func() *Topology) (specPlan, error) {
+	if n > maxSpecCores {
+		return specPlan{}, fmt.Errorf("topology: spec %q describes more than %d cores", spec, maxSpecCores)
+	}
+	return specPlan{cores: n, build: build}, nil
 }
