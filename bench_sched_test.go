@@ -30,20 +30,35 @@ import (
 	"simany/internal/vtime"
 )
 
+// scanSpatial is the spatial policy without its ShardLocalPolicy
+// capability, so the kernel keeps the reference scan; it forwards
+// IdleRelay, so effective times stay lazy exactly as under the indexed
+// variants. Methods are forwarded explicitly: embedding Spatial would
+// promote every capability.
+type scanSpatial struct{ s core.Spatial }
+
+func (p scanSpatial) Name() string                     { return p.s.Name() }
+func (p scanSpatial) Horizon(c *core.Core) vtime.Time  { return p.s.Horizon(c) }
+func (p scanSpatial) IdleTime(c *core.Core) vtime.Time { return p.s.IdleTime(c) }
+func (p scanSpatial) IdleRelay() (vtime.Time, bool)    { return p.s.IdleRelay() }
+
 // schedBenchRounds is the number of annotation blocks each core executes.
 const schedBenchRounds = 30
 
 // runSchedWorkload simulates the stall-heavy workload once and returns the
 // step count and the wall time of the simulation proper.
-func runSchedWorkload(b *testing.B, cores, shards, workers int, mode core.SchedMode, wantSched string) (int64, time.Duration) {
+func runSchedWorkload(b *testing.B, cores, shards, workers int, wantSched string) (int64, time.Duration) {
 	b.Helper()
+	var pol core.Policy = core.Spatial{T: core.DefaultT}
+	if wantSched == "scan" {
+		pol = scanSpatial{core.Spatial{T: core.DefaultT}}
+	}
 	k := core.New(core.Config{
 		Topo:    topology.Mesh(cores),
-		Policy:  core.Spatial{T: core.DefaultT},
+		Policy:  pol,
 		Seed:    42,
 		Shards:  shards,
 		Workers: workers,
-		Sched:   mode,
 	})
 	if got := k.Scheduler(); got != wantSched {
 		b.Fatalf("scheduler = %q, want %q", got, wantSched)
@@ -70,11 +85,11 @@ func runSchedWorkload(b *testing.B, cores, shards, workers int, mode core.SchedM
 	return res.Steps, wall
 }
 
-func benchSchedSteps(b *testing.B, cores, shards, workers int, mode core.SchedMode, wantSched string) {
+func benchSchedSteps(b *testing.B, cores, shards, workers int, wantSched string) {
 	var steps int64
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {
-		s, w := runSchedWorkload(b, cores, shards, workers, mode, wantSched)
+		s, w := runSchedWorkload(b, cores, shards, workers, wantSched)
 		steps += s
 		wall += w
 	}
@@ -94,18 +109,18 @@ func BenchmarkSchedulerSteps(b *testing.B) {
 		shards = 8 // single-CPU host: still exercise the per-shard engine
 	}
 	b.Run("1024/seq-scan", func(b *testing.B) {
-		benchSchedSteps(b, 1024, 1, 1, core.SchedScan, "scan")
+		benchSchedSteps(b, 1024, 1, 1, "scan")
 	})
 	b.Run("1024/seq-index", func(b *testing.B) {
-		benchSchedSteps(b, 1024, 1, 1, core.SchedAuto, "index")
+		benchSchedSteps(b, 1024, 1, 1, "index")
 	})
 	b.Run("1024/sharded-index", func(b *testing.B) {
-		benchSchedSteps(b, 1024, shards, runtime.NumCPU(), core.SchedAuto, "index")
+		benchSchedSteps(b, 1024, shards, runtime.NumCPU(), "index")
 	})
 	b.Run("64/seq-scan", func(b *testing.B) {
-		benchSchedSteps(b, 64, 1, 1, core.SchedScan, "scan")
+		benchSchedSteps(b, 64, 1, 1, "scan")
 	})
 	b.Run("64/seq-index", func(b *testing.B) {
-		benchSchedSteps(b, 64, 1, 1, core.SchedAuto, "index")
+		benchSchedSteps(b, 64, 1, 1, "index")
 	})
 }

@@ -23,6 +23,7 @@ import (
 
 	"simany/internal/core"
 	"simany/internal/topology"
+	"simany/internal/vtime"
 )
 
 // sparseTopo builds the benchmark machines by chiplet spec so the 100k
@@ -35,23 +36,37 @@ func sparseTopo(spec string) *topology.Topology {
 	return t
 }
 
+// eagerSpatial is the spatial policy without its IdleRelayPolicy
+// capability, so the kernel keeps the eager propagation flood on the
+// indexed scheduler. Methods are forwarded explicitly: embedding Spatial
+// would promote every capability.
+type eagerSpatial struct{ s core.Spatial }
+
+func (p eagerSpatial) Name() string                     { return p.s.Name() }
+func (p eagerSpatial) Horizon(c *core.Core) vtime.Time  { return p.s.Horizon(c) }
+func (p eagerSpatial) IdleTime(c *core.Core) vtime.Time { return p.s.IdleTime(c) }
+func (p eagerSpatial) ShardLocal() bool                 { return p.s.ShardLocal() }
+
 // benchSparseIdle runs `tasks` strided compute tasks to completion and
 // reports steps/sec over the Run call alone; machine construction happens
 // with the timer stopped so the metric (and the alloc guard) measure the
 // simulation, not topology building.
-func benchSparseIdle(b *testing.B, spec string, tasks, slices int, mode core.EffMode) {
+func benchSparseIdle(b *testing.B, spec string, tasks, slices int, eager bool) {
 	b.ReportAllocs()
 	var steps int64
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		topo := sparseTopo(spec)
-		k := core.New(core.Config{
-			Topo:   topo,
-			Policy: core.Spatial{T: core.DefaultT},
-			Seed:   42,
-			Eff:    mode,
-		})
+		var pol core.Policy = core.Spatial{T: core.DefaultT}
+		want := "lazy"
+		if eager {
+			pol, want = eagerSpatial{core.Spatial{T: core.DefaultT}}, "eager"
+		}
+		k := core.New(core.Config{Topo: topo, Policy: pol, Seed: 42})
+		if got := k.EffScheme(); got != want {
+			b.Fatalf("effective-time scheme = %q, want %q", got, want)
+		}
 		stride := topo.N() / tasks
 		for t := 0; t < tasks; t++ {
 			k.InjectTask(t*stride, "w", func(e *core.Env) {
@@ -87,20 +102,20 @@ func BenchmarkSparseIdle(b *testing.B) {
 	}
 	const tasks, slices = 64, 100
 	for _, mode := range []struct {
-		name string
-		eff  core.EffMode
-	}{{"lazy", core.EffLazy}, {"eager", core.EffEager}} {
+		name  string
+		eager bool
+	}{{"lazy", false}, {"eager", true}} {
 		for _, sz := range sizes {
 			b.Run(mode.name+"/"+sz.name, func(b *testing.B) {
-				benchSparseIdle(b, sz.spec, tasks, slices, mode.eff)
+				benchSparseIdle(b, sz.spec, tasks, slices, mode.eager)
 			})
 		}
 	}
 	// Dense control: all 1024 cores busy, no idle region to maintain.
 	b.Run("dense-lazy/1k", func(b *testing.B) {
-		benchSparseIdle(b, "chiplet:8x8,4x4", 1024, slices, core.EffLazy)
+		benchSparseIdle(b, "chiplet:8x8,4x4", 1024, slices, false)
 	})
 	b.Run("dense-eager/1k", func(b *testing.B) {
-		benchSparseIdle(b, "chiplet:8x8,4x4", 1024, slices, core.EffEager)
+		benchSparseIdle(b, "chiplet:8x8,4x4", 1024, slices, true)
 	})
 }

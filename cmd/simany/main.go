@@ -27,7 +27,6 @@ import (
 	"simany/internal/metrics"
 	"simany/internal/rt"
 	"simany/internal/trace"
-	"simany/internal/vtime"
 )
 
 func main() {
@@ -50,8 +49,6 @@ func run(args []string) error {
 		seed      = fs.Int64("seed", 42, "random seed")
 		shards    = fs.Int("shards", 1, "topology partitions for the parallel engine (1 = sequential)")
 		workers   = fs.Int("workers", 0, "host threads driving the shards (0 = all CPUs, capped at -shards)")
-		sched     = fs.String("sched", "auto", "scheduler implementation: auto (indexed when the policy allows), scan (reference linear scan), verify (both, panic on divergence)")
-		eff       = fs.String("eff", "auto", "effective-time evaluation: auto (lazy when the policy allows), eager (reference propagation flood), lazy, verify (eager with lazy cross-check, panic on divergence)")
 		scale     = fs.Float64("scale", 1, "dataset scale factor (≥1 approaches paper-sized inputs)")
 		verbose   = fs.Bool("v", false, "print runtime statistics")
 		traceFile = fs.String("trace", "", "write an event trace to this file (.json = Chrome/Perfetto trace_event format, otherwise text)")
@@ -84,7 +81,7 @@ func run(args []string) error {
 		if m.Seed == 0 {
 			m.Seed = *seed
 		}
-		m.Shards, m.Workers, m.Sched, m.Eff = *shards, *workers, *sched, *eff
+		m.Shards, m.Workers = *shards, *workers
 		mode := bench.Shared
 		if m.Mem == config.DistributedMem {
 			mode = bench.Distributed
@@ -95,8 +92,12 @@ func run(args []string) error {
 			checkpointFile: *ckptF, checkpointAfter: *ckptAfter, resumeFile: *resumeF,
 		})
 	}
-	m = config.Machine{Cores: *cores, TopoSpec: *topoSpec, T: vtime.Cycles(*tCycles), Policy: *policy, Seed: *seed,
-		Shards: *shards, Workers: *workers, Sched: *sched, Eff: *eff}
+	t, err := config.Cycles(*tCycles)
+	if err != nil {
+		return fmt.Errorf("-T: %w", err)
+	}
+	m = config.Machine{Cores: *cores, TopoSpec: *topoSpec, T: t, Policy: *policy, Seed: *seed,
+		Shards: *shards, Workers: *workers}
 	switch *style {
 	case "uniform":
 		m.Style = config.Uniform

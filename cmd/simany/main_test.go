@@ -42,6 +42,22 @@ func TestRunErrors(t *testing.T) {
 		{"-bench", "octree", "-mem", "weird"},
 		{"-bench", "octree", "-cores", "4", "-policy", "wat"},
 		{"-machine", "/nonexistent/machine.conf"},
+		// Degenerate drift bounds and policy arguments: NaN used to wrap
+		// to a negative T and deadlock, -5 ran until killed, and a
+		// quantum rounding to zero divided by it.
+		{"-bench", "octree", "-cores", "4", "-T", "NaN"},
+		{"-bench", "octree", "-cores", "4", "-T", "-5"},
+		{"-bench", "octree", "-cores", "4", "-T", "1e300"},
+		{"-bench", "octree", "-cores", "4", "-scale", "0.1", "-policy", "quantum:0.0001"},
+		{"-bench", "octree", "-cores", "4", "-scale", "0.1", "-policy", "quantum:NaN"},
+		{"-bench", "octree", "-cores", "4", "-scale", "0.1", "-policy", "slack:1e300"},
+		// Flat machines above the route-table cap.
+		{"-bench", "octree", "-cores", "16385", "-scale", "0.1"},
+		{"-bench", "octree", "-topo", "full:2048", "-scale", "0.1"},
+		// The scheduler and effective-time paths follow the policy; there
+		// is no flag to pick them.
+		{"-bench", "octree", "-sched", "scan"},
+		{"-bench", "octree", "-eff", "eager"},
 	} {
 		if err := run(args); err == nil {
 			t.Fatalf("no error for %v", args)

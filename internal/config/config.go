@@ -116,20 +116,6 @@ type Machine struct {
 	// Workers is the number of host threads driving the shards (0 =
 	// GOMAXPROCS, capped at Shards). It never affects results.
 	Workers int
-	// Sched selects the scheduling implementation (docs/scheduler.md):
-	// "auto" or "" uses the indexed runnable queue when the policy's
-	// horizon is cacheable, "scan" forces the reference linear scan, and
-	// "verify" runs both side by side, panicking on divergence. The
-	// choice never affects results — only host speed.
-	Sched string
-	// Eff selects the effective-time evaluation scheme
-	// (docs/effective-time.md): "auto" or "" evaluates idle-region shadow
-	// times lazily from the busy frontier when the policy supports it,
-	// "eager" forces the reference per-completion propagation flood,
-	// "lazy" requests lazy evaluation explicitly, and "verify" runs eager
-	// authoritatively with a lazy cross-check, panicking on divergence.
-	// Like Sched, the choice never affects results — only host speed.
-	Eff string
 	// Metrics, when non-nil, attaches a deterministic metrics registry:
 	// the kernel records its standard instruments (message latency, link
 	// contention, barrier stalls — see docs/observability.md) into it, and
@@ -187,34 +173,31 @@ func (m Machine) Topology() *topology.Topology {
 	}
 }
 
-// parseSched resolves the scheduler-mode string.
-func (m Machine) parseSched() (core.SchedMode, error) {
-	switch m.Sched {
-	case "", "auto":
-		return core.SchedAuto, nil
-	case "scan":
-		return core.SchedScan, nil
-	case "verify":
-		return core.SchedVerify, nil
-	default:
-		return 0, fmt.Errorf("config: unknown scheduler mode %q", m.Sched)
+// maxCycles bounds every cycle-valued argument (T and the policy
+// arguments): a trillion cycles keeps the value, the 8×T shard quantum
+// and every horizon sum far from vtime.Time overflow.
+const maxCycles = 1e12
+
+// Cycles converts a cycle count given by a user — the -T flag, a machine
+// file's T, a policy argument — to virtual time. It errors unless the
+// value is finite, rounds to at least one time unit and is at most a
+// trillion cycles, so no degenerate value (NaN, ±Inf, zero, negative,
+// 1e300) reaches a policy as a wrapped or zero time.
+func Cycles(c float64) (vtime.Time, error) {
+	// Written so that NaN fails the range test before any conversion.
+	if !(c >= 0 && c <= maxCycles) || vtime.Cycles(c) < 1 {
+		return 0, fmt.Errorf("%v cycles is out of range (want a finite value from 0.001 to %g)", c, maxCycles)
 	}
+	return vtime.Cycles(c), nil
 }
 
-// parseEff resolves the effective-time evaluation-scheme string.
-func (m Machine) parseEff() (core.EffMode, error) {
-	switch m.Eff {
-	case "", "auto":
-		return core.EffAuto, nil
-	case "eager":
-		return core.EffEager, nil
-	case "lazy":
-		return core.EffLazy, nil
-	case "verify":
-		return core.EffVerify, nil
-	default:
-		return 0, fmt.Errorf("config: unknown effective-time mode %q", m.Eff)
+// parseCycles parses a textual cycle count through Cycles.
+func parseCycles(s string) (vtime.Time, error) {
+	c, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad cycle count %q", s)
 	}
+	return Cycles(c)
 }
 
 // parsePolicy resolves the policy string.
@@ -223,16 +206,19 @@ func (m Machine) parsePolicy() (core.Policy, bool, error) {
 	if t == 0 {
 		t = core.DefaultT
 	}
+	if t < 0 || t > vtime.Cycles(maxCycles) {
+		return nil, false, fmt.Errorf("config: T %v is out of range", t)
+	}
 	name, arg, hasArg := strings.Cut(m.Policy, ":")
 	argCycles := func(def vtime.Time) (vtime.Time, error) {
 		if !hasArg {
 			return def, nil
 		}
-		v, err := strconv.ParseFloat(arg, 64)
-		if err != nil || v <= 0 {
-			return 0, fmt.Errorf("config: bad policy argument %q", arg)
+		v, err := parseCycles(arg)
+		if err != nil {
+			return 0, fmt.Errorf("config: policy %q: %w", m.Policy, err)
 		}
-		return vtime.Cycles(v), nil
+		return v, nil
 	}
 	// When a metrics registry is attached, the drift-comparison policies
 	// record how close each horizon decision came to the scheme's bound.
@@ -287,18 +273,15 @@ func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
 	if m.Cores <= 0 {
 		return nil, nil, fmt.Errorf("config: invalid core count %d", m.Cores)
 	}
+	if m.Topo == nil {
+		if err := topology.CheckFlatCores(m.Cores); err != nil {
+			return nil, nil, err
+		}
+	}
 	if m.Topo != nil && m.Style == Polymorphic && m.Topo.N()%2 != 0 {
 		return nil, nil, fmt.Errorf("config: polymorphic style needs an even core count")
 	}
 	pol, isCycleLevel, err := m.parsePolicy()
-	if err != nil {
-		return nil, nil, err
-	}
-	sched, err := m.parseSched()
-	if err != nil {
-		return nil, nil, err
-	}
-	eff, err := m.parseEff()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -327,8 +310,6 @@ func (m Machine) Build() (*core.Kernel, *rt.Runtime, error) {
 		MaxSteps:  m.MaxSteps,
 		Shards:    m.Shards,
 		Workers:   m.Workers,
-		Sched:     sched,
-		Eff:       eff,
 		Metrics:   m.Metrics,
 	}
 	if isCycleLevel {

@@ -1,9 +1,12 @@
 package config
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"simany/internal/core"
+	"simany/internal/topology"
 	"simany/internal/vtime"
 )
 
@@ -83,7 +86,11 @@ func TestPolicyParsing(t *testing.T) {
 }
 
 func TestPolicyErrors(t *testing.T) {
-	for _, bad := range []string{"wat", "quantum:-5", "slack:x"} {
+	for _, bad := range []string{
+		"wat", "quantum:-5", "slack:x",
+		"quantum:0.0001", // rounds to a zero quantum (used to divide by zero)
+		"quantum:NaN", "slack:1e300", "laxp2p:+Inf", "quantum:0",
+	} {
 		m := Default(4)
 		m.Policy = bad
 		if _, _, err := m.Build(); err == nil {
@@ -93,6 +100,51 @@ func TestPolicyErrors(t *testing.T) {
 	m := Default(0)
 	if _, _, err := m.Build(); err == nil {
 		t.Error("no error for zero cores")
+	}
+	for _, bad := range []vtime.Time{-vtime.CyclesInt(5), vtime.Inf} {
+		m := Default(4)
+		m.T = bad
+		if _, _, err := m.Build(); err == nil {
+			t.Errorf("no error for T %v", bad)
+		}
+	}
+}
+
+// TestCycles: every user-given cycle count is finite, at least one
+// millicycle once rounded, and at most a trillion cycles.
+func TestCycles(t *testing.T) {
+	for _, tc := range []struct {
+		in   float64
+		want vtime.Time
+		ok   bool
+	}{
+		{100, vtime.CyclesInt(100), true},
+		{0.5, vtime.Cycles(0.5), true},
+		{0.001, 1, true},
+		{0.0005, 1, true}, // rounds up to one millicycle
+		{1e12, vtime.CyclesInt(1e12), true},
+		{0.0001, 0, false}, // rounds to zero
+		{0, 0, false},
+		{-5, 0, false},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+		{math.Inf(-1), 0, false},
+		{1e300, 0, false},
+		{1.5e12, 0, false},
+	} {
+		got, err := Cycles(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("Cycles(%v) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestFlatMachineCap: flat machines above topology.MaxFlatCores are
+// refused before any route table is built; the error names chiplet specs.
+func TestFlatMachineCap(t *testing.T) {
+	_, _, err := Default(topology.MaxFlatCores + 1).Build()
+	if err == nil || !strings.Contains(err.Error(), "chiplet") {
+		t.Fatalf("Build of %d flat cores = %v, want a cap error naming chiplet specs", topology.MaxFlatCores+1, err)
 	}
 }
 

@@ -56,6 +56,9 @@ func ParseMachine(r io.Reader, resolve func(path string) (io.ReadCloser, error))
 			if err != nil || n <= 0 {
 				return m, fmt.Errorf("config: line %d: bad core count %q", lineNo, val)
 			}
+			if err := topology.CheckFlatCores(n); err != nil {
+				return m, fmt.Errorf("config: line %d: %w", lineNo, err)
+			}
 			m.Cores = n
 		case "style":
 			switch val {
@@ -84,11 +87,11 @@ func ParseMachine(r io.Reader, resolve func(path string) (io.ReadCloser, error))
 		case "policy":
 			m.Policy = val
 		case "T":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
-				return m, fmt.Errorf("config: line %d: bad T %q", lineNo, val)
+			t, err := parseCycles(val)
+			if err != nil {
+				return m, fmt.Errorf("config: line %d: T: %w", lineNo, err)
 			}
-			m.T = vtime.Cycles(f)
+			m.T = t
 		case "seed":
 			s, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
@@ -135,6 +138,10 @@ func ParseMachine(r io.Reader, resolve func(path string) (io.ReadCloser, error))
 	}
 	if m.Cores == 0 && m.Topo == nil {
 		return m, fmt.Errorf("config: machine file declares neither cores nor topology")
+	}
+	// The policy argument depends on T, which may come on a later line.
+	if _, _, err := m.parsePolicy(); err != nil {
+		return m, err
 	}
 	return m, nil
 }

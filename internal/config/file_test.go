@@ -63,6 +63,16 @@ func TestParseMachineErrors(t *testing.T) {
 		"topo mesh:-4\n",             // negative mesh
 		"topo ring:x\n",              // non-numeric size
 		"topo chiplet:2x1@NaN\n",     // out-of-range tier latency
+		"cores 4\nT NaN\n",           // used to wrap to a negative T
+		"cores 4\nT +Inf\n",
+		"cores 4\nT 1e300\n",
+		"cores 4\nT 0.0001\n", // rounds to zero
+		"cores 4\npolicy quantum:0.0001\n",
+		"cores 4\npolicy slack:1e300\n",
+		"cores 4\npolicy wat\n", // unknown policy
+		"cores 16385\n",         // flat machine above the cap
+		"topo mesh:16385\n",
+		"topo full:1025\n",
 	}
 	for _, src := range bad {
 		if _, err := ParseMachine(strings.NewReader(src), nil); err == nil {

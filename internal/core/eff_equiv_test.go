@@ -6,19 +6,19 @@ import (
 	"testing"
 
 	"simany/internal/topology"
-	"simany/internal/vtime"
 )
 
 // Effective-time equivalence property suite (docs/effective-time.md):
 // lazy idle-region evaluation must be invisible in the results. The same
 // randomized workloads as the scheduler suite run once with the eager
-// propagation flood and once with lazy evaluation, and the exact
-// per-domain (core, key) pick sequences — which consume effective times
-// through every stalled core's horizon — must match, along with the
-// Results. The workloads also run under EffVerify, where the kernel keeps
-// the flood authoritative and cross-checks every lazily reconstructed
-// neighborhood minimum inside runnable() itself. CI runs this file under
-// the race detector.
+// propagation flood (the IndexEager wrapper) and once with lazy
+// evaluation, and the exact per-domain (core, key) pick sequences — which
+// consume effective times through every stalled core's horizon — must
+// match, along with the Results. The lazy runs also carry the pick oracle
+// (oracle_test.go), which recomputes the reference fixpoint at every
+// decision and compares every stalled core's lazily reconstructed
+// neighborhood minimum against it. CI runs this file under the race
+// detector.
 //
 // Both dense soups (more tasks than cores, constant region churn) and
 // sparse ones (a handful of tasks on a big machine, the regime the lazy
@@ -28,30 +28,29 @@ import (
 // exercise frozen cross-shard proxies as BFS anchors and the barrier-time
 // memo reseeding.
 
-// runEffEquiv executes the shared randomized workload under the given
-// effective-time mode and returns the per-domain pick sequences, the
-// Result, and the kernel's resolved evaluation scheme.
-func runEffEquiv(t *testing.T, topo *topology.Topology, shards, workers, tasks int, seed int64, mode EffMode) ([][]pickRec, Result, string) {
+// runEffEquiv executes the shared randomized workload under policy pol
+// and returns the per-domain pick sequences, the Result, and the kernel's
+// resolved evaluation scheme; with check set, the pick oracle verifies
+// every decision.
+func runEffEquiv(t *testing.T, topo *topology.Topology, shards, workers, tasks int, seed int64, pol Policy, check bool) ([][]pickRec, Result, string) {
 	t.Helper()
 	k := New(Config{
 		Topo:    topo,
-		Policy:  Spatial{T: DefaultT},
+		Policy:  pol,
 		Seed:    seed,
 		Shards:  shards,
 		Workers: workers,
-		Eff:     mode,
 	})
-	picks := make([][]pickRec, k.NumShards())
-	k.onPick = func(c *Core, key vtime.Time) {
-		d := c.dom.id
-		picks[d] = append(picks[d], pickRec{Core: c.ID, Key: key})
-	}
+	o := watchPicks(k, check)
 	equivWorkload(k, seed, tasks)
 	res, err := k.Run()
 	if err != nil {
-		t.Fatalf("eff mode %v shards=%d: %v", mode, shards, err)
+		t.Fatalf("policy %T shards=%d: %v", pol, shards, err)
 	}
-	return picks, res, k.EffScheme()
+	if err := o.err(); err != nil {
+		t.Fatal(err)
+	}
+	return o.picks, res, k.EffScheme()
 }
 
 func chipletEquivTopo() *topology.Topology {
@@ -95,7 +94,7 @@ func TestEffEquivalenceRandom(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						topo := tc.topo()
 						tasks := load.tasks(topo.N())
-						eagerPicks, eagerRes, eagerScheme := runEffEquiv(t, topo, eng.shards, eng.workers, tasks, seed, EffEager)
+						eagerPicks, eagerRes, eagerScheme := runEffEquiv(t, topo, eng.shards, eng.workers, tasks, seed, IndexEager{spatialT}, false)
 						if eagerScheme != "eager" {
 							t.Fatalf("baseline scheme = %q, want eager", eagerScheme)
 						}
@@ -106,36 +105,14 @@ func TestEffEquivalenceRandom(t *testing.T) {
 						if total < tasks {
 							t.Fatalf("only %d scheduling decisions recorded, want >= %d", total, tasks)
 						}
-						lazyPicks, lazyRes, lazyScheme := runEffEquiv(t, tc.topo(), eng.shards, eng.workers, tasks, seed, EffAuto)
+						lazyPicks, lazyRes, lazyScheme := runEffEquiv(t, tc.topo(), eng.shards, eng.workers, tasks, seed, spatialT, true)
 						if lazyScheme != "lazy" {
 							t.Fatalf("scheme = %q, want lazy (spatial relay is uniform)", lazyScheme)
 						}
 						if !reflect.DeepEqual(lazyRes, eagerRes) {
 							t.Errorf("Result diverged:\n  lazy  %+v\n  eager %+v", lazyRes, eagerRes)
 						}
-						for d := range eagerPicks {
-							if len(lazyPicks[d]) != len(eagerPicks[d]) {
-								t.Fatalf("domain %d: %d lazy picks, %d eager picks",
-									d, len(lazyPicks[d]), len(eagerPicks[d]))
-							}
-							for i := range eagerPicks[d] {
-								if lazyPicks[d][i] != eagerPicks[d][i] {
-									t.Fatalf("domain %d pick %d: lazy chose %+v, eager chose %+v",
-										d, i, lazyPicks[d][i], eagerPicks[d][i])
-								}
-							}
-						}
-						// Belt and braces: EffVerify replays the lazy
-						// reconstruction against the authoritative flood at
-						// every stalled-horizon evaluation and panics on the
-						// first divergent neighborhood minimum.
-						_, verifyRes, verifyScheme := runEffEquiv(t, tc.topo(), eng.shards, eng.workers, tasks, seed, EffVerify)
-						if verifyScheme != "eager+verify" {
-							t.Fatalf("scheme = %q, want eager+verify", verifyScheme)
-						}
-						if !reflect.DeepEqual(verifyRes, eagerRes) {
-							t.Errorf("verify-mode Result diverged:\n  verify %+v\n  eager  %+v", verifyRes, eagerRes)
-						}
+						samePicks(t, "lazy", lazyPicks, eagerPicks)
 					})
 				}
 			}
@@ -143,32 +120,29 @@ func TestEffEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestEffEquivalenceScanSched pins the mode matrix's off-diagonal: lazy
-// evaluation with the reference scan scheduler (no runq, no stall heap —
-// scanRunnable pulls horizons through the mode-aware neighborhood
-// minimum) must match the eager scan run pick for pick.
+// TestEffEquivalenceScanSched pins the off-diagonal of the two
+// selections: lazy evaluation with the reference scan scheduler (no runq,
+// no stall heap — scanRunnable pulls horizons through the lazy
+// neighborhood minimum) must match the eager scan run pick for pick.
 func TestEffEquivalenceScanSched(t *testing.T) {
-	run := func(mode EffMode) ([][]pickRec, Result, string) {
-		k := New(Config{
-			Topo:   topology.Mesh(16),
-			Policy: Spatial{T: DefaultT},
-			Seed:   3,
-			Sched:  SchedScan,
-			Eff:    mode,
-		})
-		picks := make([][]pickRec, k.NumShards())
-		k.onPick = func(c *Core, key vtime.Time) {
-			picks[c.dom.id] = append(picks[c.dom.id], pickRec{Core: c.ID, Key: key})
-		}
+	run := func(pol Policy) ([][]pickRec, Result, string) {
+		k := New(Config{Topo: topology.Mesh(16), Policy: pol, Seed: 3})
+		o := watchPicks(k, true)
 		equivWorkload(k, 3, 24)
 		res, err := k.Run()
 		if err != nil {
-			t.Fatalf("eff mode %v: %v", mode, err)
+			t.Fatalf("policy %T: %v", pol, err)
 		}
-		return picks, res, k.EffScheme()
+		if err := o.err(); err != nil {
+			t.Fatal(err)
+		}
+		if got := k.Scheduler(); got != "scan" {
+			t.Fatalf("policy %T: scheduler %q, want scan", pol, got)
+		}
+		return o.picks, res, k.EffScheme()
 	}
-	eagerPicks, eagerRes, _ := run(EffEager)
-	lazyPicks, lazyRes, scheme := run(EffLazy)
+	eagerPicks, eagerRes, _ := run(ScanEager{spatialT})
+	lazyPicks, lazyRes, scheme := run(ScanLazy{spatialT})
 	if scheme != "lazy" {
 		t.Fatalf("scheme = %q, want lazy", scheme)
 	}
@@ -191,11 +165,10 @@ func TestEffEquivalenceValidated(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			k := New(Config{
 				Topo:    topology.Mesh(16),
-				Policy:  Spatial{T: DefaultT},
+				Policy:  spatialT,
 				Seed:    9,
 				Shards:  shards,
 				Workers: 2,
-				Eff:     EffLazy,
 			})
 			if k.EffScheme() != "lazy" {
 				t.Fatalf("scheme = %q, want lazy", k.EffScheme())

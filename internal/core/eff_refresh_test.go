@@ -82,10 +82,13 @@ func referenceRefresh(k *Kernel, delta vtime.Time) (eff, nbEff []vtime.Time) {
 
 // TestEffEquivalenceRefreshOracle pauses randomized sharded runs at every
 // barrier and compares the flat refresh against referenceRefresh bit for
-// bit, on every core's advertised time and on every proxy slot; Validate
+// bit, on every core's advertised time and on every proxy slot; each
+// domain's round-setup head must match the reference scan, and Validate
 // then re-checks every fresh lazy memo — all of them seeded through the
 // domain's seed epoch at that point — against an independent fixpoint.
-// The paused runs must also end with the Result of an uninterrupted one.
+// The "verify" runs are lazy runs that also carry the pick oracle, so the
+// lazy state is checked between barriers too. The paused runs must end
+// with the Result of an uninterrupted one.
 func TestEffEquivalenceRefreshOracle(t *testing.T) {
 	topos := []struct {
 		name string
@@ -101,13 +104,21 @@ func TestEffEquivalenceRefreshOracle(t *testing.T) {
 		{"dense", func(cores int) int { return 3 * cores / 2 }},
 		{"sparse", func(cores int) int { return 3 }},
 	}
-	modes := []EffMode{EffEager, EffLazy, EffVerify}
+	modes := []struct {
+		name  string
+		pol   Policy
+		check bool
+	}{
+		{"eager", IndexEager{spatialT}, false},
+		{"lazy", spatialT, false},
+		{"verify", spatialT, true},
+	}
 	const seed = 7
 	for _, tc := range topos {
 		for _, load := range loads {
 			for _, mode := range modes {
 				for _, shards := range []int{4, 16} {
-					name := fmt.Sprintf("%s/%s/%v/shards%d", tc.name, load.name, mode, shards)
+					name := fmt.Sprintf("%s/%s/%s/shards%d", tc.name, load.name, mode.name, shards)
 					t.Run(name, func(t *testing.T) {
 						newKernel := func() *Kernel {
 							topo, err := topology.ParseSpec(tc.spec)
@@ -116,11 +127,10 @@ func TestEffEquivalenceRefreshOracle(t *testing.T) {
 							}
 							k := New(Config{
 								Topo:    topo,
-								Policy:  Spatial{T: DefaultT},
+								Policy:  mode.pol,
 								Seed:    seed,
 								Shards:  shards,
 								Workers: 2,
-								Eff:     mode,
 								// A short quantum multiplies the barriers.
 								ShardQuantum: 2 * DefaultT,
 							})
@@ -132,24 +142,18 @@ func TestEffEquivalenceRefreshOracle(t *testing.T) {
 							t.Fatal(err)
 						}
 						k := newKernel()
-						barriers := 0
-						for {
-							k.PauseAfter(k.Position() + 1)
-							res, err := k.Run()
-							if err == nil {
-								if !reflect.DeepEqual(res, want) {
-									t.Fatalf("paused run diverged:\n  paused %+v\n  whole  %+v", res, want)
-								}
-								break
-							}
-							if !errors.Is(err, ErrPaused) {
-								t.Fatal(err)
-							}
-							barriers++
-							checkRefreshAgainstOracle(t, k, barriers)
+						o := watchPicks(k, mode.check)
+						res, barriers := runPausedEachBarrier(t, k, func(barrier int) {
+							checkRefreshAgainstOracle(t, k, barrier)
+						})
+						if !reflect.DeepEqual(res, want) {
+							t.Fatalf("paused run diverged:\n  paused %+v\n  whole  %+v", res, want)
 						}
 						if barriers < 5 {
 							t.Fatalf("only %d barriers observed", barriers)
+						}
+						if err := o.err(); err != nil {
+							t.Fatal(err)
 						}
 					})
 				}
@@ -171,19 +175,21 @@ func checkRefreshAgainstOracle(t *testing.T, k *Kernel, barrier int) {
 			t.Fatalf("barrier %d: proxy slot %d is %v, reference %v", barrier, e, k.nbEff[e], nbEff[e])
 		}
 	}
+	if err := checkBarrierHeads(k); err != nil {
+		t.Fatalf("barrier %d: %v", barrier, err)
+	}
 	busy := 0
 	for _, d := range k.domains {
 		busy += d.busy
 	}
 	for _, d := range k.domains {
-		// Pure lazy mode seeds every idle memo at a barrier that leaves a
-		// busy core anywhere; verify mode never seeds, so its lazy reads
-		// below run the BFS.
+		// Lazy evaluation seeds every idle memo at a barrier that leaves
+		// a busy core anywhere.
 		if seeded, want := d.seedEpoch == d.effEpoch, k.effLazy && busy > 0; seeded != want {
 			t.Fatalf("barrier %d: domain %d seeded=%v, want %v (seed epoch %d, memo epoch %d)",
 				barrier, d.id, seeded, want, d.seedEpoch, d.effEpoch)
 		}
-		if !(k.effLazy || k.effVerify) || d.busy == 0 {
+		if !k.effLazy || d.busy == 0 {
 			// With no local anchor lazyEff answers Inf by convention.
 			continue
 		}
@@ -204,13 +210,16 @@ func checkRefreshAgainstOracle(t *testing.T, k *Kernel, barrier int) {
 // TestRefreshEffZeroAlloc pins the steady-state contract of the barrier
 // refresh: once its scratch has grown, refreshEff allocates nothing.
 func TestRefreshEffZeroAlloc(t *testing.T) {
-	for _, mode := range []EffMode{EffLazy, EffEager} {
-		t.Run(mode.String(), func(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		pol  Policy
+	}{{"lazy", spatialT}, {"eager", IndexEager{spatialT}}} {
+		t.Run(mode.name, func(t *testing.T) {
 			topo, err := topology.ParseSpec("chiplet:4x4,2x2,3x3")
 			if err != nil {
 				t.Fatal(err)
 			}
-			k := New(Config{Topo: topo, Policy: Spatial{T: DefaultT}, Seed: 4, Shards: 8, Workers: 1, Eff: mode})
+			k := New(Config{Topo: topo, Policy: mode.pol, Seed: 4, Shards: 8, Workers: 1})
 			equivWorkload(k, 4, 40)
 			k.PauseAfter(6)
 			if _, err := k.Run(); !errors.Is(err, ErrPaused) {

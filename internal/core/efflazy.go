@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"simany/internal/vtime"
-)
+import "simany/internal/vtime"
 
 // Lazy idle-region effective time.
 //
@@ -47,9 +43,10 @@ import (
 // Determinism. The lazy values equal the eager fixpoint exactly (the BFS
 // computes the same shortest-path minimum the relaxation converges to),
 // so scheduling decisions, traces and results are byte-identical for a
-// fixed (seed, shards). EffVerify machine-checks this claim during a run,
-// and Kernel.Validate recomputes the eager fixpoint and compares every
-// fresh memo against it.
+// fixed (seed, shards). The equivalence tests machine-check this claim
+// at every pick against a test-side fixpoint (eff_equiv_test.go), and
+// Kernel.Validate recomputes the eager fixpoint and compares every fresh
+// memo against it.
 //
 // Scheduling. The indexed scheduler splits the stalled cores by what
 // their horizons read. A stalled core with no idle same-domain neighbor
@@ -64,78 +61,35 @@ import (
 // runnable bit) keeping repeated evaluations O(1).
 // See docs/effective-time.md for the full design and cost model.
 
-// EffMode selects how idle-region effective times are evaluated.
-type EffMode int
-
-const (
-	// EffAuto (the default) evaluates idle regions lazily whenever the
-	// policy supports it (IdleRelayPolicy) and eagerly otherwise. The
-	// choice never affects results — only how fast the host reaches them.
-	EffAuto EffMode = iota
-	// EffEager forces the reference eager propagation (the per-completion
-	// BFS flood): the baseline for benchmarks and differential debugging.
-	EffEager
-	// EffLazy forces lazy evaluation; kernels whose policy does not
-	// support idle relaying fall back to eager propagation.
-	EffLazy
-	// EffVerify runs the eager propagation as the source of truth and
-	// cross-checks every lazily computed value against it, panicking on
-	// the first divergence — the differential oracle used by the
-	// equivalence test suite, mirroring SchedVerify.
-	EffVerify
-)
-
-// String names the mode.
-func (m EffMode) String() string {
-	switch m {
-	case EffEager:
-		return "eager"
-	case EffLazy:
-		return "lazy"
-	case EffVerify:
-		return "verify"
-	default:
-		return "auto"
-	}
-}
-
 // IdleRelayPolicy is implemented by policies whose IdleTime is exactly
 // the spatial relay rule "min over neighbor effective times, plus a
 // constant delta" (Inf when no neighbor advertises a finite time). Only
 // for such policies can an idle region's interior times be reconstructed
-// from its busy frontier by shortest-path arithmetic; policies that do
-// not implement the interface (or return ok=false) keep the eager
-// propagation. Of the bundled policies only the paper's Spatial
-// qualifies — the drift-comparison schemes all advertise Inf from idle
-// cores and never enter the relay machinery at all.
+// from its busy frontier by shortest-path arithmetic, so the kernel
+// evaluates idle regions lazily exactly when IdleRelay returns ok with a
+// positive delta (a non-positive one would defeat the BFS distance
+// cutoff); every other policy keeps the eager propagation. Of the bundled
+// policies only the paper's Spatial qualifies — the drift-comparison
+// schemes all advertise Inf from idle cores and never enter the relay
+// machinery at all.
 type IdleRelayPolicy interface {
 	// IdleRelay returns the per-hop relay increment (Spatial.T) and
 	// whether lazy evaluation is admissible.
 	IdleRelay() (delta vtime.Time, ok bool)
 }
 
-// setupEff resolves Config.Eff against the policy's capabilities.
-func (k *Kernel) setupEff(mode EffMode) {
-	delta, ok := vtime.Time(0), false
-	if p, isRelay := k.policy.(IdleRelayPolicy); isRelay {
-		delta, ok = p.IdleRelay()
+// setupEff selects the effective-time scheme from the policy's
+// capabilities: lazy evaluation, with the relay increment cached for the
+// BFS and the barrier refresh, iff the policy relays with a positive
+// delta; the eager flood otherwise.
+func (k *Kernel) setupEff() {
+	p, ok := k.policy.(IdleRelayPolicy)
+	if !ok {
+		return
 	}
-	if ok && delta > 0 {
-		// Set in every mode: the barrier refresh inlines the relay rule
-		// whenever the policy's IdleTime is exactly that rule.
+	if delta, ok := p.IdleRelay(); ok && delta > 0 {
 		k.relayDelta = delta
-	} else {
-		ok = false
-	}
-	switch mode {
-	case EffEager:
-		ok = false
-	case EffVerify:
-		k.effVerify = ok
-		ok = false // eager stays authoritative; lazy runs as a shadow check
-	}
-	k.effLazy = ok
-	if k.effLazy || k.effVerify {
+		k.effLazy = true
 		k.buildLandmarks()
 	}
 }
@@ -202,17 +156,13 @@ func satScale(delta vtime.Time, hops int) vtime.Time {
 	return delta * vtime.Time(hops)
 }
 
-// EffScheme names the active effective-time evaluation: "lazy", "eager"
-// or "eager+verify".
+// EffScheme names the active effective-time evaluation: "lazy" or
+// "eager".
 func (k *Kernel) EffScheme() string {
-	switch {
-	case k.effVerify:
-		return "eager+verify"
-	case k.effLazy:
+	if k.effLazy {
 		return "lazy"
-	default:
-		return "eager"
 	}
+	return "eager"
 }
 
 // satAdd adds a non-negative cost to a virtual time, saturating at Inf
@@ -364,28 +314,18 @@ func (d *domain) lazyEffSite(c *Core) {
 }
 
 // effSite dispatches the two effective-time maintenance sites in
-// domain.step to the active evaluation scheme: the eager flood plus the
-// busy list every scheme keeps, the O(1) lazy bookkeeping, or — under
-// EffVerify — the flood plus the shadow anchor floor the differential
-// checks need (the flood itself owns Kernel.eff).
+// domain.step to the active evaluation scheme: the O(1) lazy bookkeeping,
+// or the eager flood plus the busy list the barrier refresh anchors on.
 func (d *domain) effSite(c *Core) {
-	k := d.k
-	if k.effLazy {
+	if d.k.effLazy {
 		d.lazyEffSite(c)
 		return
 	}
 	d.updateEff(c)
-	if !c.idle {
-		d.busyAdd(c)
-		if k.effVerify && k.eff[c.ID] < d.effFloor {
-			d.effFloor = k.eff[c.ID]
-			d.floorAge = 0
-		}
-	} else if c.busyPos >= 0 {
+	if c.idle {
 		d.busyRemove(c)
-		if k.effVerify {
-			d.anchorRetired(c)
-		}
+	} else {
+		d.busyAdd(c)
 	}
 }
 
@@ -406,12 +346,8 @@ func (d *domain) lazyEff(c *Core) vtime.Time {
 		return eff[c.ID]
 	}
 	e := d.lazyFix(c)
-	if !d.k.effVerify {
-		// In verify mode the eager flood owns Kernel.eff; the lazy shadow
-		// computation must not overwrite it.
-		eff[c.ID] = e
-		c.effStamp = d.effEpoch
-	}
+	eff[c.ID] = e
+	c.effStamp = d.effEpoch
 	return e
 }
 
@@ -545,25 +481,6 @@ func (d *domain) lazyMinNeighborEff(c *Core) vtime.Time {
 		}
 	}
 	return m
-}
-
-// verifyEff cross-checks the lazy computation against the eager state
-// (EffVerify): for stalled core c, the lazily reconstructed neighborhood
-// minimum must equal the one the authoritative eager proxies hold.
-// Divergence is a kernel bug, never a workload error.
-func (d *domain) verifyEff(c *Core) {
-	if d.inProp || d.k.inRefresh {
-		// Mid-flood the eager state is not yet at fixpoint; the lazy
-		// reconstruction is only comparable at settled points.
-		return
-	}
-	lazy := d.lazyMinNeighborEff(c)
-	eager := c.minNeighborEff()
-	if lazy != eager {
-		panic(fmt.Sprintf(
-			"core: effective-time divergence at core %d (domain %d): lazy neighborhood min %v, eager %v",
-			c.ID, d.id, lazy, eager))
-	}
 }
 
 // stallq is a domain's secondary scheduling heap under lazy evaluation:
@@ -767,22 +684,17 @@ func (d *domain) resetLazyIdle() {
 // rebuildLazyFromRefresh rebuilds the domain's lazy bookkeeping after the
 // barrier-time global relaxation (refreshEff) has left Kernel.eff at the
 // global fixpoint, in O(busy + cut edges): the exact floors are
-// recomputed from the busy list and the domain's cut-edge proxies, and —
-// in pure lazy mode — every idle core's memo is seeded at once through
-// seedEpoch from its already-correct eff (the global fixpoint restricted
-// to a domain equals the domain-local fixpoint anchored at the freshly
-// frozen proxies). EffVerify deliberately skips the memo seeding so its
-// differential reads keep exercising the BFS instead of comparing the
-// eager state to itself.
+// recomputed from the busy list and the domain's cut-edge proxies, and
+// every idle core's memo is seeded at once through seedEpoch from its
+// already-correct eff (the global fixpoint restricted to a domain equals
+// the domain-local fixpoint anchored at the freshly frozen proxies).
 func (d *domain) rebuildLazyFromRefresh() {
 	k := d.k
 	d.effInvalidate()
 	// Refreshed frozen proxies can move horizons either way: drop the
 	// sticky runnable bits along with the value memos.
 	d.shapeEpoch++
-	if !k.effVerify {
-		d.seedEpoch = d.effEpoch
-	}
+	d.seedEpoch = d.effEpoch
 	frozen := vtime.Inf
 	for _, e := range d.cutEdges {
 		if p := k.nbEff[e]; p < frozen {

@@ -40,8 +40,8 @@ type domain struct {
 	limit vtime.Time
 
 	// rq is the indexed runnable queue (sched.go); nil when the domain
-	// schedules through the reference scan (non-cacheable policy horizon,
-	// or Config.Sched = SchedScan). stepping is the core currently inside
+	// schedules through the reference scan (a policy that is not
+	// ShardLocalPolicy). stepping is the core currently inside
 	// step, whose index entry is transient until the step completes.
 	rq       *runq //simany:derived runnable heap, rebuilt by schedRebuild after decode
 	stepping *Core //simany:derived transient mid-step marker, nil at every barrier
@@ -52,11 +52,10 @@ type domain struct {
 	runnableMax     int
 
 	propQueue []int //simany:derived reusable scratch for shadow-time propagation, empty between uses
-	inProp    bool  //simany:derived transient mid-flood marker for the EffVerify gate, false between floods
 
 	// busyList holds the IDs of the domain's busy cores (Core.busyPos is
-	// each one's slot), maintained at every busy/idle flip in every
-	// effective-time mode: the barrier refresh anchors on it, and lazy
+	// each one's slot), maintained at every busy/idle flip under both
+	// effective-time schemes: the barrier refresh anchors on it, and lazy
 	// evaluation treats it as the frontier anchor set.
 	busyList []int32 //simany:derived busy-core list, rebuilt from idle flags after decode
 
@@ -155,12 +154,6 @@ func (d *domain) enqueueOp(src int, stamp vtime.Time, fn func()) {
 func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 	k := d.k
 	if c.current != nil {
-		if k.effVerify {
-			// The differential oracle: every settled look at a stalled
-			// core's horizon cross-checks the lazy reconstruction of its
-			// neighborhood against the authoritative eager proxies.
-			d.verifyEff(c)
-		}
 		// Stalled mid-task: runnable when the horizon has moved past the
 		// core's clock.
 		if c.vt <= k.policy.Horizon(c) {
@@ -193,7 +186,8 @@ func (d *domain) runnable(c *Core) (vtime.Time, bool) {
 // key not exceeding limit (ties broken by core ID), plus the count of
 // runnable cores within the limit. It is the semantic definition the
 // indexed queue must reproduce — kernels without an index schedule through
-// it directly, and SchedVerify replays it after every indexed pick.
+// it directly, and the equivalence tests replay it after every indexed
+// pick.
 func (d *domain) scanRunnable(limit vtime.Time) (best *Core, bestKey vtime.Time, count int) {
 	bestKey = vtime.Inf
 	for _, c := range d.cores {
@@ -228,26 +222,20 @@ func (d *domain) pickCore(limit vtime.Time) *Core {
 		// Lazy evaluation: stalled cores live in the secondary heap and
 		// their horizons are evaluated on demand (efflazy.go).
 		best, key, runnable = d.pickLazy(limit)
-		if d.k.schedVerify {
-			d.verifyPick(limit, best, key, runnable)
-		}
 	default:
 		best, runnable = d.rq.pick(limit)
 		if best != nil {
 			key = best.schedKey
 		}
-		if d.k.schedVerify {
-			d.verifyPick(limit, best, key, runnable)
-		}
+	}
+	if d.k.onPick != nil {
+		d.k.onPick(d, limit, best, key, runnable)
 	}
 	if best != nil {
 		d.runnableSamples++
 		d.runnableSum += int64(runnable)
 		if runnable > d.runnableMax {
 			d.runnableMax = runnable
-		}
-		if d.k.onPick != nil {
-			d.k.onPick(best, key)
 		}
 	}
 	return best
@@ -416,7 +404,6 @@ func (d *domain) updateEff(c *Core) {
 		return
 	}
 	d.allIdleInf = false
-	d.inProp = true
 	// The worklist is domain scratch drained through a cursor, so the
 	// backing array is reused across calls instead of creeping forward.
 	d.propQueue = append(d.propQueue[:0], c.ID)
@@ -457,5 +444,4 @@ func (d *domain) updateEff(c *Core) {
 			}
 		}
 	}
-	d.inProp = false
 }

@@ -117,25 +117,6 @@ type Config struct {
 	// spatial policy, 8×DefaultT otherwise). Smaller quanta tighten the
 	// cross-shard drift at the price of more barriers.
 	ShardQuantum vtime.Time
-
-	// Sched selects the scheduling implementation (see SchedMode): the
-	// default SchedAuto indexes the runnable cores in a per-domain
-	// min-heap whenever the policy's horizon is cacheable
-	// (CacheableHorizonPolicy), SchedScan forces the reference linear
-	// scan, and SchedVerify runs both side by side and panics on any
-	// divergence. The choice never affects results — pick order, traces
-	// and statistics are bit-for-bit identical either way (docs/scheduler.md).
-	Sched SchedMode
-
-	// Eff selects how idle-region effective times are evaluated (see
-	// EffMode): the default EffAuto computes idle shadow times lazily
-	// from the busy frontier whenever the policy supports it
-	// (IdleRelayPolicy), EffEager forces the reference per-completion
-	// propagation flood, and EffVerify runs the flood and cross-checks
-	// every lazy computation against it. Like Sched, the choice never
-	// affects results and is excluded from the checkpoint fingerprint
-	// (docs/effective-time.md).
-	Eff EffMode
 }
 
 // DefaultT is the paper's reference maximum local drift (100 cycles).
@@ -175,26 +156,17 @@ type Kernel struct {
 	//simany:derived locality table, recomputed by setupEngine (nil if not precomputed)
 	pairLocal []bool // n×n: route stays inside one shard
 
-	// Scheduler selection (sched.go): schedIndexed arms the per-domain
-	// runnable queues, schedVerify additionally replays the reference
-	// scan after every indexed decision. onPick, when set, observes every
-	// scheduling decision (test hook; called from the worker driving the
-	// picked core's domain).
-	schedIndexed bool //simany:derived scheduler-mode configuration, reinstated by New
-	schedVerify  bool //simany:derived scheduler-mode configuration, reinstated by New
-	onPick       func(c *Core, key vtime.Time)
-
-	// Effective-time evaluation (efflazy.go): effLazy arms the lazy
-	// idle-region machinery, effVerify runs the eager flood as the source
-	// of truth and cross-checks every lazy computation against it, and
-	// relayDelta caches the policy's per-hop relay increment (0 when the
-	// policy's IdleTime is not the relay rule, in any mode). inRefresh
-	// gates the verify hook while the barrier relaxation is mid-flight.
-	effLazy    bool       //simany:derived eff-mode configuration, reinstated by New
-	effVerify  bool       //simany:derived eff-mode configuration, reinstated by New
+	// Effective-time scheme, selected from the policy's capabilities
+	// (efflazy.go): effLazy arms the lazy idle-region machinery
+	// (IdleRelayPolicy) and relayDelta caches the policy's per-hop relay
+	// increment (0 under eager evaluation). The scheduler is selected per
+	// domain (domain.rq). onPick, when set, observes every scheduling
+	// decision of a domain, including the empty ones (test hook; called
+	// from the worker driving that domain).
+	effLazy    bool       //simany:derived policy-derived configuration, reinstated by New
 	relayDelta vtime.Time //simany:derived policy-derived configuration, reinstated by New
-	inRefresh  bool       //simany:derived transient: checkpoints only happen outside refreshEff
 	lmDist     [][]int32  //simany:derived landmark hop-distance tables, rebuilt by setupEff from the topology
+	onPick     func(d *domain, limit vtime.Time, best *Core, key vtime.Time, runnable int)
 
 	// Flat effective-time state (shard.go, efflazy.go), indexed by core
 	// ID so the barrier refresh walks small arrays instead of Core
@@ -289,8 +261,8 @@ func splitmix64(x uint64) uint64 {
 
 // fingerprint hashes the configuration fields that define the simulation's
 // event semantics. A checkpoint is only resumable into a kernel with the
-// same fingerprint; Workers and Sched are deliberately excluded because
-// they never affect results.
+// same fingerprint; Workers is deliberately excluded because it never
+// affects results.
 func fingerprint(cfg Config) uint64 {
 	h := splitmix64(uint64(cfg.Seed))
 	mix := func(v uint64) { h = splitmix64(h ^ v) }
@@ -520,8 +492,8 @@ func (k *Kernel) setupEngine(cfg Config) {
 			}
 		}
 	}
-	k.setupEff(cfg.Eff)
-	k.setupScheduler(cfg.Sched)
+	k.setupEff()
+	k.setupScheduler()
 	if k.effLazy {
 		// Valid idle-neighbor counts from the start: Validate may run on a
 		// kernel that has never entered an engine loop.
@@ -538,20 +510,14 @@ func (k *Kernel) setupEngine(cfg Config) {
 	}
 }
 
-// setupScheduler resolves Config.Sched against the policy's capabilities
-// and arms the per-domain runnable queues. Indexing requires a cacheable
-// horizon (CacheableHorizonPolicy): the reference scan re-evaluates
-// Horizon for every stalled core at every decision, so a horizon that
-// reads global machine state or has side effects (RNG draws, metric
-// probes) can only be reproduced by keeping the scan.
-func (k *Kernel) setupScheduler(mode SchedMode) {
-	cacheable := false
-	if p, ok := k.policy.(CacheableHorizonPolicy); ok && p.HorizonCacheable() {
-		cacheable = true
-	}
-	k.schedIndexed = cacheable && mode != SchedScan
-	k.schedVerify = cacheable && mode == SchedVerify
-	if !k.schedIndexed {
+// setupScheduler arms the per-domain runnable queues when the policy is
+// shard-local (ShardLocalPolicy): its horizons are pure functions of the
+// inputs the index invalidates on. Any other policy keeps the reference
+// scan, which re-evaluates Horizon for every stalled core at every
+// decision, so a horizon that reads global machine state or has side
+// effects (RNG draws, metric probes) behaves exactly as published.
+func (k *Kernel) setupScheduler() {
+	if p, ok := k.policy.(ShardLocalPolicy); !ok || !p.ShardLocal() {
 		return
 	}
 	for _, d := range k.domains {
@@ -584,17 +550,13 @@ func (k *Kernel) schedRebuild() {
 	}
 }
 
-// Scheduler names the active scheduling implementation: "index",
-// "index+verify" or "scan".
+// Scheduler names the active scheduling implementation: "index" or
+// "scan".
 func (k *Kernel) Scheduler() string {
-	switch {
-	case k.schedVerify:
-		return "index+verify"
-	case k.schedIndexed:
+	if k.domains[0].rq != nil {
 		return "index"
-	default:
-		return "scan"
 	}
+	return "scan"
 }
 
 // shardUnsafeReason reports why the configuration cannot run sharded, or

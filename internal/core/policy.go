@@ -25,10 +25,16 @@ type Policy interface {
 }
 
 // ShardLocalPolicy is implemented by policies whose Horizon and IdleTime
-// depend only on the core itself and its neighbor proxies — never on
-// global machine state. Only such policies can drive the sharded parallel
-// engine: a policy that does not implement the interface (or returns
-// false) forces the sequential engine regardless of Config.Shards.
+// are pure functions of the core's neighbor effective-time proxies, its
+// outstanding birth stamps and its lock depth: no reads of global machine
+// state and no side effects (no RNG draws, no metric probes). That one
+// capability selects both fast paths. Such a policy can drive the sharded
+// parallel engine, and its horizons may be cached between the events that
+// change those inputs, so the kernel schedules through the indexed
+// runnable queue (sched.go). A policy that does not implement the
+// interface (or returns false) runs on the sequential engine with the
+// reference scan, which evaluates Horizon for every stalled core at every
+// pick, regardless of Config.Shards.
 type ShardLocalPolicy interface {
 	ShardLocal() bool
 }
@@ -47,14 +53,8 @@ type Spatial struct {
 func (s Spatial) Name() string { return "spatial" }
 
 // ShardLocal implements ShardLocalPolicy: spatial decisions consult only
-// neighbor proxies and local birth stamps.
+// neighbor proxies, local birth stamps and the lock depth.
 func (s Spatial) ShardLocal() bool { return true }
-
-// HorizonCacheable implements CacheableHorizonPolicy: the spatial horizon
-// is a pure function of the core's neighbor proxies, birth stamps and
-// lock depth — exactly the inputs the indexed scheduler invalidates on —
-// so it may be cached between those events.
-func (s Spatial) HorizonCacheable() bool { return true }
 
 // IdleRelay implements IdleRelayPolicy: the spatial IdleTime is exactly
 // the relay rule "min neighbor effective time plus T", so idle-region

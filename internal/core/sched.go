@@ -26,64 +26,18 @@ import (
 //   - its clock, idle flag and current task — mutated only inside
 //     domain.step (the post-step update covers them);
 //   - for a core stalled mid-task, the policy horizon — which for a
-//     cacheable-horizon policy (CacheableHorizonPolicy) is a pure function
-//     of the core's neighbor proxies (updateEff / refreshEff), its birth
-//     stamps (RegisterBirth / clearBirth) and its lock depth (mutated only
-//     by the core's own running task).
+//     shard-local policy (ShardLocalPolicy) is a pure function of the
+//     core's neighbor proxies (updateEff / refreshEff), its birth stamps
+//     (RegisterBirth / clearBirth) and its lock depth (mutated only by the
+//     core's own running task).
 //
 // Policies whose horizons read global machine state or have side effects
 // (the drift-comparison schemes draw referee RNGs and record probe
 // histograms per evaluation) cannot be indexed without changing observable
 // behavior; kernels running them keep the reference scan. Either way the
 // pick order is bit-for-bit identical: the heap orders by the exact
-// (key, core ID) pair the scan minimizes, and SchedVerify machine-checks
-// the equivalence at every decision.
-
-// SchedMode selects the kernel's scheduling implementation.
-type SchedMode int
-
-const (
-	// SchedAuto (the default) uses the indexed runnable queue whenever the
-	// policy's horizon is cacheable (CacheableHorizonPolicy) and the
-	// reference linear scan otherwise. The choice never affects results —
-	// only how fast the host reaches them.
-	SchedAuto SchedMode = iota
-	// SchedScan forces the reference linear scan. Useful as the baseline
-	// in scheduler benchmarks and for differential debugging.
-	SchedScan
-	// SchedVerify runs the indexed queue and the reference scan side by
-	// side and panics on the first divergence in picked core, key or
-	// runnable count — the differential oracle used by the equivalence
-	// test suite. Falls back to the plain scan when the policy's horizon
-	// is not cacheable (there is no index to verify).
-	SchedVerify
-)
-
-// String names the mode.
-func (m SchedMode) String() string {
-	switch m {
-	case SchedScan:
-		return "scan"
-	case SchedVerify:
-		return "verify"
-	default:
-		return "auto"
-	}
-}
-
-// CacheableHorizonPolicy is implemented by policies whose Horizon is a
-// pure function of the kernel-tracked inputs the indexed scheduler
-// invalidates on — the core's neighbor effective-time proxies, its
-// outstanding birth stamps and its lock depth — with no side effects (no
-// RNG draws, no metric probes) and no reads of other global machine
-// state. Only such horizons may be re-evaluated on invalidation instead
-// of at every scheduling decision; a policy that does not implement the
-// interface (or returns false) keeps the reference scan, which evaluates
-// Horizon for every stalled core at every pick exactly as the original
-// kernel did.
-type CacheableHorizonPolicy interface {
-	HorizonCacheable() bool
-}
+// (key, core ID) pair the scan minimizes, and the equivalence tests
+// replay the scan at every indexed decision (sched_equiv_test.go).
 
 // runq is a domain's indexed runnable queue: a binary min-heap over the
 // domain's cores ordered by (schedKey, core ID), mirroring exactly the
@@ -304,34 +258,6 @@ func (d *domain) schedUpdate(c *Core) {
 		}
 	}
 	d.rq.update(c)
-}
-
-// verifyPick cross-checks one indexed decision against the reference scan
-// (SchedVerify). Divergence is a kernel bug, never a workload error, so it
-// panics with both answers. The picked key is passed explicitly because a
-// stalled core's cached schedKey is not maintained under lazy evaluation.
-func (d *domain) verifyPick(limit vtime.Time, best *Core, key vtime.Time, n int) {
-	sBest, sKey, sn := d.scanRunnable(limit)
-	ok := best == sBest && n == sn
-	if ok && best != nil && key != sKey {
-		ok = false
-	}
-	if ok {
-		return
-	}
-	name := func(c *Core) string {
-		if c == nil {
-			return "none"
-		}
-		return fmt.Sprintf("core %d (key %v)", c.ID, key)
-	}
-	sName := "none"
-	if sBest != nil {
-		sName = fmt.Sprintf("core %d (key %v)", sBest.ID, sKey)
-	}
-	panic(fmt.Sprintf(
-		"core: scheduler divergence in domain %d (limit %v): index picked %s of %d runnable, scan picked %s of %d runnable",
-		d.id, limit, name(best), n, sName, sn))
 }
 
 // checkRunq verifies the structural invariants of the index — position

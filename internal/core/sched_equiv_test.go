@@ -13,11 +13,14 @@ import (
 
 // Scheduler-equivalence property suite (docs/scheduler.md): a seeded
 // random workload of spawns, request/reply blocking, wake-ups, lock
-// sections and spatial stalls is run once on the reference scan and once
-// on the indexed runnable queue, and the exact per-domain (core, key)
-// pick sequences must match. The same workloads also run under
-// SchedVerify, which replays the scan after every indexed decision inside
-// the kernel itself. CI runs this file under the race detector.
+// sections and spatial stalls runs on the indexed runnable queue with the
+// pick oracle (oracle_test.go) replaying the reference scan at every
+// decision. On the sequential engine the same workload also runs whole on
+// the reference scan (the ScanLazy wrapper), and the exact (core, key)
+// pick sequences must match; the sharded engine, which only shard-local
+// policies reach, is additionally paused at every barrier to compare each
+// domain's round-setup head with the scan. CI runs this file under the
+// race detector.
 
 const (
 	kindEquivEcho network.Kind = 240 + iota
@@ -28,12 +31,6 @@ const (
 type equivSpawn struct {
 	task  *Task
 	birth *Core
-}
-
-// pickRec is one observed scheduling decision.
-type pickRec struct {
-	Core int
-	Key  vtime.Time
 }
 
 // equivWorkload injects a randomized task soup derived from seed. Every
@@ -98,31 +95,61 @@ func equivWorkload(k *Kernel, seed int64, tasks int) {
 	}
 }
 
-// runEquiv executes the workload under the given scheduler mode and
-// returns the per-domain pick sequences and the Result. Pick order is
-// only deterministic within a domain (workers interleave domains), so
-// sequences are recorded and compared per shard.
-func runEquiv(t *testing.T, topo *topology.Topology, shards, workers int, seed int64, mode SchedMode) ([][]pickRec, Result, string) {
+// runEquiv executes the workload under policy pol and returns the
+// per-domain pick sequences, the Result and the kernel's scheduler name.
+// With check set, the pick oracle verifies every decision, and on the
+// sharded engine the run pauses at every barrier to verify the round-setup
+// heads too.
+func runEquiv(t *testing.T, topo *topology.Topology, shards, workers int, seed int64, pol Policy, check bool) ([][]pickRec, Result, string) {
 	t.Helper()
 	k := New(Config{
 		Topo:    topo,
-		Policy:  Spatial{T: DefaultT},
+		Policy:  pol,
 		Seed:    seed,
 		Shards:  shards,
 		Workers: workers,
-		Sched:   mode,
 	})
-	picks := make([][]pickRec, k.NumShards())
-	k.onPick = func(c *Core, key vtime.Time) {
-		d := c.dom.id
-		picks[d] = append(picks[d], pickRec{Core: c.ID, Key: key})
-	}
+	o := watchPicks(k, check)
 	equivWorkload(k, seed, 3*k.NumCores()/2)
-	res, err := k.Run()
-	if err != nil {
-		t.Fatalf("mode %v shards=%d: %v", mode, shards, err)
+	var res Result
+	if check && k.Sharded() {
+		var barriers int
+		res, barriers = runPausedEachBarrier(t, k, func(barrier int) {
+			if err := checkBarrierHeads(k); err != nil {
+				t.Fatalf("barrier %d: %v", barrier, err)
+			}
+		})
+		if barriers == 0 {
+			t.Fatal("sharded run crossed no barrier")
+		}
+	} else {
+		var err error
+		if res, err = k.Run(); err != nil {
+			t.Fatalf("policy %T shards=%d: %v", pol, shards, err)
+		}
 	}
-	return picks, res, k.Scheduler()
+	if err := o.err(); err != nil {
+		t.Fatal(err)
+	}
+	if check && o.checked() == 0 {
+		t.Fatal("the pick oracle checked no decision")
+	}
+	return o.picks, res, k.Scheduler()
+}
+
+// samePicks fails unless two runs made identical per-domain decisions.
+func samePicks(t *testing.T, what string, got, want [][]pickRec) {
+	t.Helper()
+	for d := range want {
+		if len(got[d]) != len(want[d]) {
+			t.Fatalf("domain %d: %d %s picks, %d reference picks", d, len(got[d]), what, len(want[d]))
+		}
+		for i := range want[d] {
+			if got[d][i] != want[d][i] {
+				t.Fatalf("domain %d pick %d: %s chose %+v, reference chose %+v", d, i, what, got[d][i], want[d][i])
+			}
+		}
+	}
 }
 
 func TestSchedulerEquivalenceRandom(t *testing.T) {
@@ -147,12 +174,20 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 			for _, seed := range []int64{1, 7, 23} {
 				name := fmt.Sprintf("%s/%s/seed%d", tc.name, eng.name, seed)
 				t.Run(name, func(t *testing.T) {
-					scanPicks, scanRes, scanName := runEquiv(t, tc.topo(), eng.shards, eng.workers, seed, SchedScan)
-					if scanName != "scan" {
-						t.Fatalf("baseline scheduler = %q, want scan", scanName)
+					// The reference: the scan on the sequential engine, a
+					// plain (unchecked) indexed run on the sharded one,
+					// where the per-pick scan replay is the comparison.
+					var ref Policy = ScanLazy{spatialT}
+					wantSched := "scan"
+					if eng.shards > 1 {
+						ref, wantSched = spatialT, "index"
+					}
+					refPicks, refRes, refName := runEquiv(t, tc.topo(), eng.shards, eng.workers, seed, ref, false)
+					if refName != wantSched {
+						t.Fatalf("reference scheduler = %q, want %q", refName, wantSched)
 					}
 					total := 0
-					for _, p := range scanPicks {
+					for _, p := range refPicks {
 						total += len(p)
 					}
 					// A degenerate workload would make the comparison vacuous;
@@ -160,36 +195,14 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 					if min := 3 * 24 / 2; total < min {
 						t.Fatalf("only %d scheduling decisions recorded, want >= %d", total, min)
 					}
-					idxPicks, idxRes, idxName := runEquiv(t, tc.topo(), eng.shards, eng.workers, seed, SchedAuto)
+					idxPicks, idxRes, idxName := runEquiv(t, tc.topo(), eng.shards, eng.workers, seed, spatialT, true)
 					if idxName != "index" {
-						t.Fatalf("scheduler = %q, want index (spatial horizons are cacheable)", idxName)
+						t.Fatalf("scheduler = %q, want index (spatial is shard-local)", idxName)
 					}
-					if !reflect.DeepEqual(idxRes, scanRes) {
-						t.Errorf("Result diverged:\n  index %+v\n  scan  %+v", idxRes, scanRes)
+					if !reflect.DeepEqual(idxRes, refRes) {
+						t.Errorf("Result diverged:\n  index %+v\n  reference %+v", idxRes, refRes)
 					}
-					for d := range scanPicks {
-						if len(idxPicks[d]) != len(scanPicks[d]) {
-							t.Fatalf("domain %d: %d indexed picks, %d scan picks",
-								d, len(idxPicks[d]), len(scanPicks[d]))
-						}
-						for i := range scanPicks[d] {
-							if idxPicks[d][i] != scanPicks[d][i] {
-								t.Fatalf("domain %d pick %d: index chose %+v, scan chose %+v",
-									d, i, idxPicks[d][i], scanPicks[d][i])
-							}
-						}
-					}
-					// Belt and braces: the same run under SchedVerify has the
-					// kernel itself replay the scan after every indexed
-					// decision (and at every shard round setup) and panic on
-					// the first divergence.
-					_, verifyRes, verifyName := runEquiv(t, tc.topo(), eng.shards, eng.workers, seed, SchedVerify)
-					if verifyName != "index+verify" {
-						t.Fatalf("scheduler = %q, want index+verify", verifyName)
-					}
-					if !reflect.DeepEqual(verifyRes, scanRes) {
-						t.Errorf("verify-mode Result diverged:\n  verify %+v\n  scan   %+v", verifyRes, scanRes)
-					}
+					samePicks(t, "indexed", idxPicks, refPicks)
 				})
 			}
 		}
@@ -197,24 +210,27 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 }
 
 // TestSchedulerEquivalenceValidated reruns one seed per engine with a
-// ValidatingTracer, so every trace event additionally checks the queue
-// minima caches and the structural invariants of the runnable index
-// (Kernel.Validate) during a live randomized run.
+// ValidatingTracer and the pick oracle, so every trace event additionally
+// checks the queue minima caches and the structural invariants of the
+// runnable index (Kernel.Validate) during a live randomized run.
 func TestSchedulerEquivalenceValidated(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			k := New(Config{
 				Topo:    topology.Mesh(16),
-				Policy:  Spatial{T: DefaultT},
+				Policy:  spatialT,
 				Seed:    5,
 				Shards:  shards,
 				Workers: 2,
-				Sched:   SchedVerify,
 			})
+			o := watchPicks(k, true)
 			k.SetTracer(&ValidatingTracer{K: k, Interval: 1})
 			equivWorkload(k, 5, 24)
 			if _, err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.err(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -7,19 +7,11 @@ import (
 	"simany/internal/vtime"
 )
 
-// scanOnlyPolicy is a policy that does not implement
-// CacheableHorizonPolicy, so kernels running it must keep the reference
-// scan regardless of the requested scheduler mode.
-type scanOnlyPolicy struct{}
-
-func (scanOnlyPolicy) Name() string              { return "scan-only" }
-func (scanOnlyPolicy) Horizon(*Core) vtime.Time  { return vtime.Inf }
-func (scanOnlyPolicy) IdleTime(*Core) vtime.Time { return vtime.Inf }
-
-func schedTestKernel(t *testing.T, mode SchedMode) *Kernel {
+// schedTestKernel builds a small kernel on the reference scan (no runq of
+// its own), so tests can graft a manual queue without engine interference.
+func schedTestKernel(t *testing.T) *Kernel {
 	t.Helper()
-	return New(Config{Topo: topology.Mesh(9), Policy: Spatial{T: DefaultT},
-		Seed: 1, Sched: mode})
+	return New(Config{Topo: topology.Mesh(9), Policy: ScanEager{spatialT}, Seed: 1})
 }
 
 // readyAt attaches a fresh task with the given arrival stamp to core c.
@@ -38,7 +30,7 @@ func mustCheck(t *testing.T, d *domain) {
 }
 
 func TestRunqInsertRemoveUpdate(t *testing.T) {
-	k := schedTestKernel(t, SchedScan) // manual queue, no engine interference
+	k := schedTestKernel(t)
 	d := k.domains[0]
 	q := newRunq(d)
 	d.rq = q
@@ -101,7 +93,7 @@ func TestRunqInsertRemoveUpdate(t *testing.T) {
 }
 
 func TestRunqCountAtMostAndPick(t *testing.T) {
-	k := schedTestKernel(t, SchedScan)
+	k := schedTestKernel(t)
 	d := k.domains[0]
 	q := newRunq(d)
 	d.rq = q
@@ -147,7 +139,7 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 // stamp order, so the cache must survive both popping a non-minimal head
 // and popping the task that carried the minimum.
 func TestReadyMinCacheReordering(t *testing.T) {
-	k := schedTestKernel(t, SchedScan)
+	k := schedTestKernel(t)
 	c := k.Core(0)
 
 	recompute := func() vtime.Time {
@@ -199,7 +191,7 @@ func TestReadyMinCacheReordering(t *testing.T) {
 // TestContsMinCacheReordering is the continuation-queue twin of the
 // ready-queue test above.
 func TestContsMinCacheReordering(t *testing.T) {
-	k := schedTestKernel(t, SchedScan)
+	k := schedTestKernel(t)
 	c := k.Core(0)
 
 	push := func(at int64) {
@@ -237,43 +229,5 @@ func TestContsMinCacheReordering(t *testing.T) {
 	check("drained")
 	if got := c.minContResume(); got != vtime.Inf {
 		t.Fatalf("drained queue conts-min %v, want Inf", got)
-	}
-}
-
-func TestSchedulerModeSelection(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		policy Policy
-		mode   SchedMode
-		want   string
-	}{
-		{"spatial auto", Spatial{T: DefaultT}, SchedAuto, "index"},
-		{"spatial scan", Spatial{T: DefaultT}, SchedScan, "scan"},
-		{"spatial verify", Spatial{T: DefaultT}, SchedVerify, "index+verify"},
-		{"non-cacheable auto", scanOnlyPolicy{}, SchedAuto, "scan"},
-		{"non-cacheable verify", scanOnlyPolicy{}, SchedVerify, "scan"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := New(Config{Topo: topology.Mesh(4), Policy: tc.policy,
-				Seed: 1, Sched: tc.mode})
-			if got := k.Scheduler(); got != tc.want {
-				t.Errorf("Scheduler() = %q, want %q", got, tc.want)
-			}
-			indexed := tc.want != "scan"
-			if (k.domains[0].rq != nil) != indexed {
-				t.Errorf("domain index presence = %v, want %v",
-					k.domains[0].rq != nil, indexed)
-			}
-		})
-	}
-}
-
-func TestSchedModeString(t *testing.T) {
-	for mode, want := range map[SchedMode]string{
-		SchedAuto: "auto", SchedScan: "scan", SchedVerify: "verify",
-	} {
-		if got := mode.String(); got != want {
-			t.Errorf("SchedMode(%d).String() = %q, want %q", mode, got, want)
-		}
 	}
 }

@@ -89,8 +89,7 @@ func (k *Kernel) runShard() (Result, error) {
 // is a peek over the per-domain heap heads, O(shards) instead of a full
 // machine scan; barriers run the queues' invalidation hooks (drained
 // items, effective-time refresh) before this is called, so every head is
-// settled. SchedVerify cross-checks each head against the domain's
-// reference scan.
+// settled.
 func (k *Kernel) minRunnableKey() vtime.Time {
 	minKey := vtime.Inf
 	for _, d := range k.domains {
@@ -101,16 +100,6 @@ func (k *Kernel) minRunnableKey() vtime.Time {
 			continue
 		}
 		head, hKey := d.indexedHead()
-		if k.schedVerify {
-			sBest, sKey, _ := d.scanRunnable(vtime.Inf)
-			switch {
-			case (head == nil) != (sBest == nil):
-				panic(fmt.Sprintf("core: scheduler divergence in domain %d round setup: index head %v, scan head %v", d.id, head, sBest))
-			case head != nil && (head != sBest || hKey != sKey):
-				panic(fmt.Sprintf("core: scheduler divergence in domain %d round setup: index head core %d key %v, scan head core %d key %v",
-					d.id, head.ID, hKey, sBest.ID, sKey))
-			}
-		}
 		if head != nil && hKey < minKey {
 			minKey = hKey
 		}
@@ -252,20 +241,18 @@ const (
 //  3. Gather every proxy, nbEff[e] = eff[adj[e]], noting first which
 //     stalled cores see a changed proxy.
 //  4. Rebuild the lazy bookkeeping in O(busy + cut edges) per domain
-//     (lazy and verify modes), then post one schedUpdate per stalled core
+//     (under lazy evaluation), then post one schedUpdate per stalled core
 //     noted in step 3 — the only runnability input the refresh moves.
 //     Picks break ties on (key, ID), a total order, so neither the number
 //     nor the order of these updates can change a pick.
 //
-// Policies implementing IdleRelayPolicy get the relay rule inlined in
-// every effective-time mode (the policy's IdleTime is exactly that
-// computation, and under lazy evaluation it would recurse into the lazy
-// reads mid-relaxation); any other policy has an idle core's proxies
-// gathered and its IdleTime called, with every idle core seeded, since a
-// general IdleTime may be finite with no finite neighbor.
+// Policies evaluated lazily (IdleRelayPolicy) get the relay rule inlined
+// (the policy's IdleTime is exactly that computation, and it would
+// recurse into the lazy reads mid-relaxation); any other policy has an
+// idle core's proxies gathered and its IdleTime called, with every idle
+// core seeded, since a general IdleTime may be finite with no finite
+// neighbor.
 func (k *Kernel) refreshEff() {
-	k.inRefresh = true
-	defer func() { k.inRefresh = false }()
 	eff, nbEff := k.eff, k.nbEff
 	for i := range eff {
 		eff[i] = vtime.Inf
@@ -280,7 +267,7 @@ func (k *Kernel) refreshEff() {
 		}
 		for _, d := range k.domains {
 			d.allIdleInf = true
-			if k.effLazy || k.effVerify {
+			if k.effLazy {
 				d.resetLazyIdle()
 			}
 		}
@@ -325,7 +312,7 @@ func (k *Kernel) refreshEff() {
 
 	// Step 4: lazy bookkeeping, then the scheduler updates, which may
 	// read it.
-	if k.effLazy || k.effVerify {
+	if k.effLazy {
 		for _, d := range k.domains {
 			d.rebuildLazyFromRefresh()
 		}

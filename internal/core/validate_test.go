@@ -36,7 +36,7 @@ func TestValidateAfterRun(t *testing.T) {
 func TestValidateDetectsCorruption(t *testing.T) {
 	// Eager mode: the proxy-mirror invariant only holds when proxies are
 	// maintained (lazy evaluation leaves them stale between barriers).
-	k := New(Config{Topo: topology.Mesh(4), Seed: 1, Eff: EffEager})
+	k := New(Config{Topo: topology.Mesh(4), Seed: 1, Policy: IndexEager{spatialT}})
 	// Corrupt a neighbor proxy directly.
 	k.cores[0].proxies()[0] = vtime.CyclesInt(12345)
 	err := k.Validate()

@@ -146,20 +146,16 @@ func (Unbounded) Horizon(*core.Core) vtime.Time { return vtime.Inf }
 func (Unbounded) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
 
 // ShardLocal implements core.ShardLocalPolicy: Unbounded consults no state
-// at all, so it can drive the sharded engine.
-func (Unbounded) ShardLocal() bool { return true }
-
-// HorizonCacheable implements core.CacheableHorizonPolicy: a constant-Inf
-// horizon is trivially pure, so Unbounded runs on the indexed scheduler.
+// at all, so it drives the sharded engine and the indexed scheduler.
 //
 // The other schemes in this package deliberately do NOT implement the
 // interface: their horizons read global machine state (GlobalMinTime,
 // every other core's NextEventTime) and have per-evaluation side effects
 // (LaxP2P draws a referee from the core's RNG, the Probe histograms count
-// evaluations), so the reference scan — which evaluates Horizon for every
-// stalled core at every scheduling decision — is the only implementation
-// that reproduces their published behavior.
-func (Unbounded) HorizonCacheable() bool { return true }
+// evaluations), so the sequential engine's reference scan — which
+// evaluates Horizon for every stalled core at every scheduling decision —
+// is the only implementation that reproduces their published behavior.
+func (Unbounded) ShardLocal() bool { return true }
 
 // LaxP2P approximates Graphite's LaxP2P: each time a core is about to run,
 // it checks its progress against a randomly chosen other core; if it is

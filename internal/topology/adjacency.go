@@ -74,6 +74,9 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 			if err != nil || n <= 0 {
 				return nil, fmt.Errorf("topology: line %d: bad core count %q", lineNo, fields[1])
 			}
+			if err := CheckFlatCores(n); err != nil {
+				return nil, fmt.Errorf("topology: line %d: %w", lineNo, err)
+			}
 			t = New(n, "file")
 		case "matrix":
 			if t == nil {

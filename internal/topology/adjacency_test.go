@@ -65,6 +65,7 @@ func TestParseAdjacencyErrors(t *testing.T) {
 		"cores 0",
 		"cores -1",
 		"cores two",
+		"cores 16385", // flat machine above MaxFlatCores
 		"cores 2\nlink 0 0",
 		"cores 2\nlink 0 5",
 		"cores 2\nlink 0 1 -3",

@@ -302,11 +302,32 @@ func parseDims(s string) (w, h int, err error) {
 // overflow; the largest bundled machine (102400 cores) sits well below it.
 const maxSpecCores = 1 << 24
 
+// MaxFlatCores caps flat (non-hierarchical) machines: the network routes
+// them through a dense n×n next-hop table built by one BFS per
+// destination, which already takes ~40 s and 512 MiB at this size.
+// full:N visits its N² links in every BFS, so it is capped at
+// MaxFlatCores/16 = 1024 cores. Chiplet specs route hierarchically and
+// scale to maxSpecCores.
+const MaxFlatCores = 1 << 14
+
+// CheckFlatCores refuses a flat machine of n cores above MaxFlatCores.
+func CheckFlatCores(n int) error {
+	return checkFlat(n, MaxFlatCores)
+}
+
+func checkFlat(n, limit int) error {
+	if n > limit {
+		return fmt.Errorf("topology: a flat machine of %d cores exceeds the %d-core cap of its dense route table; use a chiplet spec (e.g. chiplet:8x8,4x4,10x10) for larger machines", n, limit)
+	}
+	return nil
+}
+
 // ParseSpec builds a topology from a textual spec: "mesh:WxH",
 // "torus:WxH", "ring:N", "star:N", "full:N", "clustered:K:N" (K clusters of
 // an N-core machine) or "chiplet:<tiers>" (see ParseChipletSpec). A bare
 // integer builds the most-square mesh of that many cores. Every malformed
-// spec — including a core count that is zero, negative or above 16M —
+// spec — including a core count that is zero, negative, above 16M, or
+// above the flat-machine cap (MaxFlatCores) for every kind but chiplet —
 // is an error, never a panic.
 func ParseSpec(spec string) (*Topology, error) {
 	p, err := planSpec(spec)
@@ -415,10 +436,21 @@ func capCores(a, b int) int {
 }
 
 // sizedPlan admits a plan of n cores, rejecting machines above
-// maxSpecCores.
+// maxSpecCores and flat machines above their cap.
 func sizedPlan(spec string, n int, build func() *Topology) (specPlan, error) {
 	if n > maxSpecCores {
 		return specPlan{}, fmt.Errorf("topology: spec %q describes more than %d cores", spec, maxSpecCores)
+	}
+	kind, _, _ := strings.Cut(spec, ":")
+	limit := MaxFlatCores
+	switch kind {
+	case "chiplet":
+		limit = maxSpecCores
+	case "full":
+		limit = MaxFlatCores / 16
+	}
+	if err := checkFlat(n, limit); err != nil {
+		return specPlan{}, err
 	}
 	return specPlan{cores: n, build: build}, nil
 }

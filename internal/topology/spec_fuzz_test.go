@@ -28,6 +28,14 @@ func TestParseSpecBadInput(t *testing.T) {
 		{"0", "unknown spec"},
 		{"-4", "unknown spec"},
 		{"mesh:16777217", "more than"},
+		{"mesh:16385", "chiplet spec"},
+		{"mesh:128x129", "chiplet spec"},
+		{"torus:256x256", "chiplet spec"},
+		{"ring:16385", "chiplet spec"},
+		{"clustered:4:16388", "chiplet spec"},
+		{"16385", "chiplet spec"},
+		{"full:1025", "chiplet spec"},
+		{"full:2048", "chiplet spec"},
 		{"mesh:9999999999x9999999999", "more than"},
 		{"chiplet:4096x4096,4096x4096", "more than"},
 		{"ring:99999999999999999999", "bad core count"},
@@ -45,6 +53,16 @@ func TestParseSpecBadInput(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseSpec(%q) = %v, want an error containing %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
+// TestFlatSpecCapBoundary: the largest flat machines under the cap are
+// admitted (checked without building them).
+func TestFlatSpecCapBoundary(t *testing.T) {
+	for _, spec := range []string{"mesh:16384", "mesh:128x128", "ring:16384", "full:1024", "chiplet:8x8,4x4,10x10"} {
+		if err := CheckSpec(spec); err != nil {
+			t.Errorf("CheckSpec(%q) = %v, want nil", spec, err)
 		}
 	}
 }
