@@ -199,9 +199,6 @@ func TestScale100kSparse(t *testing.T) {
 		Seed:   7,
 		Shards: shards,
 	})
-	if got := k.EffScheme(); got != "lazy" {
-		t.Fatalf("effective-time scheme = %q, want lazy (the point of the sparse smoke)", got)
-	}
 	// 256 tasks strided across the machine: every shard owns a sliver of
 	// the busy frontier, the rest of its cores sit idle the whole run.
 	const tasks = 256

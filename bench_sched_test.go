@@ -31,16 +31,14 @@ import (
 )
 
 // scanSpatial is the spatial policy without its ShardLocalPolicy
-// capability, so the kernel keeps the reference scan; it forwards
-// IdleRelay, so effective times stay lazy exactly as under the indexed
-// variants. Methods are forwarded explicitly: embedding Spatial would
-// promote every capability.
+// capability, so the kernel keeps the reference scan; idle effective
+// times relay by the same T as under the indexed variants. Methods are
+// forwarded explicitly: embedding Spatial would promote every capability.
 type scanSpatial struct{ s core.Spatial }
 
-func (p scanSpatial) Name() string                     { return p.s.Name() }
-func (p scanSpatial) Horizon(c *core.Core) vtime.Time  { return p.s.Horizon(c) }
-func (p scanSpatial) IdleTime(c *core.Core) vtime.Time { return p.s.IdleTime(c) }
-func (p scanSpatial) IdleRelay() (vtime.Time, bool)    { return p.s.IdleRelay() }
+func (p scanSpatial) Name() string                    { return p.s.Name() }
+func (p scanSpatial) Horizon(c *core.Core) vtime.Time { return p.s.Horizon(c) }
+func (p scanSpatial) IdleRelay() vtime.Time           { return p.s.IdleRelay() }
 
 // schedBenchRounds is the number of annotation blocks each core executes.
 const schedBenchRounds = 30

@@ -243,7 +243,6 @@ func execute(b bench.Benchmark, m config.Machine, mode bench.Mode, seed int64, s
 		float64(simWall)/float64(nativeWall+1))
 	if verbose {
 		fmt.Printf("scheduler        %s\n", k.Scheduler())
-		fmt.Printf("effective time   %s\n", k.EffScheme())
 		fmt.Printf("kernel steps     %d\n", res.Steps)
 		if secs := simWall.Seconds(); secs > 0 {
 			fmt.Printf("throughput       %.0f steps/sec host\n", float64(res.Steps)/secs)

@@ -108,9 +108,9 @@ func TestDriftBoundValue(t *testing.T) {
 // unboundedPolicy has no spatial drift guarantee.
 type unboundedPolicy struct{}
 
-func (unboundedPolicy) Name() string              { return "unbounded-test" }
-func (unboundedPolicy) Horizon(*Core) vtime.Time  { return vtime.Inf }
-func (unboundedPolicy) IdleTime(*Core) vtime.Time { return vtime.Inf }
+func (unboundedPolicy) Name() string             { return "unbounded-test" }
+func (unboundedPolicy) Horizon(*Core) vtime.Time { return vtime.Inf }
+func (unboundedPolicy) IdleRelay() vtime.Time    { return vtime.Inf }
 
 // TestCheckDriftBoundTrips: a hand-built clock spread beyond the bound is
 // reported; within the bound (or with all but one core idle) it is not.

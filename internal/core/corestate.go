@@ -116,12 +116,11 @@ func (c *Core) VT() vtime.Time { return c.vt }
 func (c *Core) Kernel() *Kernel { return c.k }
 
 // Eff returns the effective time the core advertises to its neighbors.
-// Under lazy evaluation an idle core's value is computed on demand from
-// its region's busy frontier (and memoized); busy cores always read the
-// value maintained at their last step boundary, identical to the eager
-// scheme.
+// An idle core's value is computed on demand from its region's busy
+// frontier (and memoized, efflazy.go); a busy core reads the value
+// maintained at its last step boundary.
 func (c *Core) Eff() vtime.Time {
-	if c.k.effLazy && c.idle {
+	if c.idle {
 		return c.dom.lazyEff(c)
 	}
 	return c.k.eff[c.ID]
@@ -153,19 +152,25 @@ func (c *Core) L1() *cache.Scoped { return c.l1 }
 func (c *Core) L2() *cache.L2 { return c.l2 }
 
 // minNeighborEff returns the minimum advertised effective time among the
-// core's neighbors, Inf if it has none. Eagerly maintained kernels read
-// the neighbor proxies directly; under lazy evaluation the proxies are
-// not maintained between barriers, so idle local neighbors are pulled
-// through the region fixpoint instead (frozen cross-shard proxies are
-// read as-is, exactly like the eager scheme between barriers).
+// core's neighbors, Inf if it has none: busy local neighbors read their
+// maintained times, idle local neighbors are pulled through the region
+// fixpoint (efflazy.go), and foreign neighbors are read through the
+// proxies frozen at the last barrier.
 func (c *Core) minNeighborEff() vtime.Time {
-	if c.k.effLazy {
-		return c.dom.lazyMinNeighborEff(c)
-	}
+	k, d := c.k, c.dom
 	m := vtime.Inf
-	for _, t := range c.proxies() {
-		if t < m {
-			m = t
+	for j, nbID := range c.neighbors {
+		nb := k.cores[nbID]
+		var e vtime.Time
+		if nb.dom != d {
+			e = k.nbEff[int(k.adjOff[c.ID])+j]
+		} else if !nb.idle {
+			e = k.eff[nbID]
+		} else {
+			e = d.lazyEff(nb)
+		}
+		if e < m {
+			m = e
 		}
 	}
 	return m

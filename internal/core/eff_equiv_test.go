@@ -10,15 +10,15 @@ import (
 
 // Effective-time equivalence property suite (docs/effective-time.md):
 // lazy idle-region evaluation must be invisible in the results. The same
-// randomized workloads as the scheduler suite run once with the eager
-// propagation flood (the IndexEager wrapper) and once with lazy
-// evaluation, and the exact per-domain (core, key) pick sequences — which
-// consume effective times through every stalled core's horizon — must
-// match, along with the Results. The lazy runs also carry the pick oracle
-// (oracle_test.go), which recomputes the reference fixpoint at every
-// decision and compares every stalled core's lazily reconstructed
-// neighborhood minimum against it. CI runs this file under the race
-// detector.
+// randomized workloads as the scheduler suite run once under refSpatial,
+// whose horizons read a from-scratch reference fixpoint of the relay rule
+// (oracle_test.go), and once under Spatial with lazy evaluation, and the
+// exact per-domain (core, key) pick sequences — which consume effective
+// times through every stalled core's horizon — must match, along with
+// the Results. The lazy runs also carry the pick oracle, which recomputes
+// the reference fixpoint at every decision and compares every stalled
+// core's lazily reconstructed neighborhood minimum against it. CI runs
+// this file under the race detector.
 //
 // Both dense soups (more tasks than cores, constant region churn) and
 // sparse ones (a handful of tasks on a big machine, the regime the lazy
@@ -29,10 +29,9 @@ import (
 // memo reseeding.
 
 // runEffEquiv executes the shared randomized workload under policy pol
-// and returns the per-domain pick sequences, the Result, and the kernel's
-// resolved evaluation scheme; with check set, the pick oracle verifies
-// every decision.
-func runEffEquiv(t *testing.T, topo *topology.Topology, shards, workers, tasks int, seed int64, pol Policy, check bool) ([][]pickRec, Result, string) {
+// and returns the per-domain pick sequences and the Result; with check
+// set, the pick oracle verifies every decision.
+func runEffEquiv(t *testing.T, topo *topology.Topology, shards, workers, tasks int, seed int64, pol Policy, check bool) ([][]pickRec, Result) {
 	t.Helper()
 	k := New(Config{
 		Topo:    topo,
@@ -50,7 +49,10 @@ func runEffEquiv(t *testing.T, topo *topology.Topology, shards, workers, tasks i
 	if err := o.err(); err != nil {
 		t.Fatal(err)
 	}
-	return o.picks, res, k.EffScheme()
+	if check && o.checked() == 0 {
+		t.Fatal("the pick oracle checked no decision")
+	}
+	return o.picks, res
 }
 
 func chipletEquivTopo() *topology.Topology {
@@ -94,25 +96,20 @@ func TestEffEquivalenceRandom(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						topo := tc.topo()
 						tasks := load.tasks(topo.N())
-						eagerPicks, eagerRes, eagerScheme := runEffEquiv(t, topo, eng.shards, eng.workers, tasks, seed, IndexEager{spatialT}, false)
-						if eagerScheme != "eager" {
-							t.Fatalf("baseline scheme = %q, want eager", eagerScheme)
-						}
+						ref := newRefSpatial(spatialT, topo.N(), eng.shards > 1)
+						refPicks, refRes := runEffEquiv(t, topo, eng.shards, eng.workers, tasks, seed, ref, false)
 						total := 0
-						for _, p := range eagerPicks {
+						for _, p := range refPicks {
 							total += len(p)
 						}
 						if total < tasks {
 							t.Fatalf("only %d scheduling decisions recorded, want >= %d", total, tasks)
 						}
-						lazyPicks, lazyRes, lazyScheme := runEffEquiv(t, tc.topo(), eng.shards, eng.workers, tasks, seed, spatialT, true)
-						if lazyScheme != "lazy" {
-							t.Fatalf("scheme = %q, want lazy (spatial relay is uniform)", lazyScheme)
+						lazyPicks, lazyRes := runEffEquiv(t, tc.topo(), eng.shards, eng.workers, tasks, seed, spatialT, true)
+						if !reflect.DeepEqual(lazyRes, refRes) {
+							t.Errorf("Result diverged:\n  lazy      %+v\n  reference %+v", lazyRes, refRes)
 						}
-						if !reflect.DeepEqual(lazyRes, eagerRes) {
-							t.Errorf("Result diverged:\n  lazy  %+v\n  eager %+v", lazyRes, eagerRes)
-						}
-						samePicks(t, "lazy", lazyPicks, eagerPicks)
+						samePicks(t, "lazy", lazyPicks, refPicks)
 					})
 				}
 			}
@@ -120,12 +117,12 @@ func TestEffEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestEffEquivalenceScanSched pins the off-diagonal of the two
-// selections: lazy evaluation with the reference scan scheduler (no runq,
-// no stall heap — scanRunnable pulls horizons through the lazy
-// neighborhood minimum) must match the eager scan run pick for pick.
+// TestEffEquivalenceScanSched pins lazy evaluation under the reference
+// scan scheduler (no runq, no stall heap — scanRunnable pulls horizons
+// through the lazy neighborhood minimum): it must match the scan run of
+// refSpatial, whose horizons read the reference fixpoint, pick for pick.
 func TestEffEquivalenceScanSched(t *testing.T) {
-	run := func(pol Policy) ([][]pickRec, Result, string) {
+	run := func(pol Policy) ([][]pickRec, Result) {
 		k := New(Config{Topo: topology.Mesh(16), Policy: pol, Seed: 3})
 		o := watchPicks(k, true)
 		equivWorkload(k, 3, 24)
@@ -139,17 +136,14 @@ func TestEffEquivalenceScanSched(t *testing.T) {
 		if got := k.Scheduler(); got != "scan" {
 			t.Fatalf("policy %T: scheduler %q, want scan", pol, got)
 		}
-		return o.picks, res, k.EffScheme()
+		return o.picks, res
 	}
-	eagerPicks, eagerRes, _ := run(ScanEager{spatialT})
-	lazyPicks, lazyRes, scheme := run(ScanLazy{spatialT})
-	if scheme != "lazy" {
-		t.Fatalf("scheme = %q, want lazy", scheme)
+	refPicks, refRes := run(newRefSpatial(spatialT, 16, false))
+	lazyPicks, lazyRes := run(ScanLazy{spatialT})
+	if !reflect.DeepEqual(lazyRes, refRes) {
+		t.Errorf("Result diverged:\n  lazy      %+v\n  reference %+v", lazyRes, refRes)
 	}
-	if !reflect.DeepEqual(lazyRes, eagerRes) {
-		t.Errorf("Result diverged:\n  lazy  %+v\n  eager %+v", lazyRes, eagerRes)
-	}
-	if !reflect.DeepEqual(lazyPicks, eagerPicks) {
+	if !reflect.DeepEqual(lazyPicks, refPicks) {
 		t.Fatalf("pick sequences diverged under the scan scheduler")
 	}
 }
@@ -157,7 +151,7 @@ func TestEffEquivalenceScanSched(t *testing.T) {
 // TestEffEquivalenceValidated reruns one seed per engine with a
 // ValidatingTracer under lazy evaluation, so every trace event checks the
 // busy-frontier partition, the pruning floors, and every fresh memo
-// against an independently recomputed eager fixpoint (Kernel.Validate)
+// against an independently recomputed relay fixpoint (Kernel.Validate)
 // during a live randomized run.
 func TestEffEquivalenceValidated(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -170,14 +164,47 @@ func TestEffEquivalenceValidated(t *testing.T) {
 				Shards:  shards,
 				Workers: 2,
 			})
-			if k.EffScheme() != "lazy" {
-				t.Fatalf("scheme = %q, want lazy", k.EffScheme())
-			}
 			k.SetTracer(&ValidatingTracer{K: k, Interval: 1})
 			equivWorkload(k, 9, 24)
 			if _, err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSpatialZeroT runs Spatial{T: 0}, the zero relay increment: an idle
+// core advertises exactly the minimum of its neighbors' effective times.
+// Maintaining those shadows by pushing changes through idle regions
+// deadlocked here, because with T = 0 a stale idle neighbor holds an idle
+// shadow down and a push from the other side never raises it; the single
+// relay rule evaluates the fixpoint from the busy frontier instead. Every
+// run must finish, with every event validated and every pick checked
+// against the reference fixpoint.
+func TestSpatialZeroT(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, seed := range []int64{2, 11} {
+			for _, tasks := range []int{3, 37} {
+				name := fmt.Sprintf("shards%d/seed%d/tasks%d", shards, seed, tasks)
+				t.Run(name, func(t *testing.T) {
+					k := New(Config{
+						Topo:    topology.Mesh(25),
+						Policy:  Spatial{},
+						Seed:    seed,
+						Shards:  shards,
+						Workers: 2,
+					})
+					o := watchPicks(k, true)
+					k.SetTracer(&ValidatingTracer{K: k, Interval: 1})
+					equivWorkload(k, seed, tasks)
+					if _, err := k.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if err := o.err(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
 	}
 }

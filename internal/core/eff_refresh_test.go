@@ -86,9 +86,12 @@ func referenceRefresh(k *Kernel, delta vtime.Time) (eff, nbEff []vtime.Time) {
 // domain's round-setup head must match the reference scan, and Validate
 // then re-checks every fresh lazy memo — all of them seeded through the
 // domain's seed epoch at that point — against an independent fixpoint.
-// The "verify" runs are lazy runs that also carry the pick oracle, so the
-// lazy state is checked between barriers too. The paused runs must end
-// with the Result of an uninterrupted one.
+// The "verify" runs also carry the pick oracle, so the lazy state is
+// checked between barriers too; the "eager" runs carry it with allIdle
+// set, eagerly evaluating every idle core's effective time at every pick
+// and comparing it with the reference fixpoint, so the barrier refresh
+// meets fully populated memos. The paused runs must end with the Result of an uninterrupted
+// one.
 func TestEffEquivalenceRefreshOracle(t *testing.T) {
 	topos := []struct {
 		name string
@@ -105,13 +108,12 @@ func TestEffEquivalenceRefreshOracle(t *testing.T) {
 		{"sparse", func(cores int) int { return 3 }},
 	}
 	modes := []struct {
-		name  string
-		pol   Policy
-		check bool
+		name           string
+		check, allIdle bool
 	}{
-		{"eager", IndexEager{spatialT}, false},
-		{"lazy", spatialT, false},
-		{"verify", spatialT, true},
+		{"eager", true, true},
+		{"lazy", false, false},
+		{"verify", true, false},
 	}
 	const seed = 7
 	for _, tc := range topos {
@@ -127,7 +129,7 @@ func TestEffEquivalenceRefreshOracle(t *testing.T) {
 							}
 							k := New(Config{
 								Topo:    topo,
-								Policy:  mode.pol,
+								Policy:  spatialT,
 								Seed:    seed,
 								Shards:  shards,
 								Workers: 2,
@@ -143,6 +145,7 @@ func TestEffEquivalenceRefreshOracle(t *testing.T) {
 						}
 						k := newKernel()
 						o := watchPicks(k, mode.check)
+						o.allIdle = mode.allIdle
 						res, barriers := runPausedEachBarrier(t, k, func(barrier int) {
 							checkRefreshAgainstOracle(t, k, barrier)
 						})
@@ -183,13 +186,13 @@ func checkRefreshAgainstOracle(t *testing.T, k *Kernel, barrier int) {
 		busy += d.busy
 	}
 	for _, d := range k.domains {
-		// Lazy evaluation seeds every idle memo at a barrier that leaves
-		// a busy core anywhere.
-		if seeded, want := d.seedEpoch == d.effEpoch, k.effLazy && busy > 0; seeded != want {
+		// The refresh seeds every idle memo at a barrier that leaves a
+		// busy core anywhere.
+		if seeded, want := d.seedEpoch == d.effEpoch, busy > 0; seeded != want {
 			t.Fatalf("barrier %d: domain %d seeded=%v, want %v (seed epoch %d, memo epoch %d)",
 				barrier, d.id, seeded, want, d.seedEpoch, d.effEpoch)
 		}
-		if !k.effLazy || d.busy == 0 {
+		if d.busy == 0 {
 			// With no local anchor lazyEff answers Inf by convention.
 			continue
 		}
@@ -208,12 +211,14 @@ func checkRefreshAgainstOracle(t *testing.T, k *Kernel, barrier int) {
 }
 
 // TestRefreshEffZeroAlloc pins the steady-state contract of the barrier
-// refresh: once its scratch has grown, refreshEff allocates nothing.
+// refresh: once its scratch has grown, refreshEff allocates nothing,
+// under a finite relay and under the infinite relay of the
+// drift-comparison policies.
 func TestRefreshEffZeroAlloc(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		pol  Policy
-	}{{"lazy", spatialT}, {"eager", IndexEager{spatialT}}} {
+	}{{"lazy", spatialT}, {"relayinf", relayInf{spatialT}}} {
 		t.Run(mode.name, func(t *testing.T) {
 			topo, err := topology.ParseSpec("chiplet:4x4,2x2,3x3")
 			if err != nil {

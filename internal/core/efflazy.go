@@ -1,95 +1,81 @@
 package core
 
-import "simany/internal/vtime"
+import (
+	"fmt"
+
+	"simany/internal/vtime"
+)
 
 // Lazy idle-region effective time.
 //
-// The eager implementation (domain.updateEff, engine.go) pushes every
-// effective-time change through the surrounding idle region until a
-// fixpoint: a task completion on a 100k-core machine with a handful of
-// busy cores floods O(idle region) state. The machinery in this file
-// inverts the direction: idle cores' effective times are *pulled* on
-// demand from the busy frontier, so a completion touches O(1) state and
-// the cost is paid only by the (few) cores whose horizon actually reads a
-// shadow time.
+// The paper's idle-core rule (§II.A) has an idle core advertise the
+// minimum of its neighbors' effective times plus a constant delta — the
+// policy's IdleRelay: T for Spatial, Inf for the drift-comparison schemes,
+// whose idle cores never constrain anyone. Pushing every change through
+// the surrounding idle region until a fixpoint would make a task
+// completion on a 100k-core machine with a handful of busy cores flood
+// O(idle region) state. The machinery in this file inverts the direction:
+// idle cores' effective times are *pulled* on demand from the busy
+// frontier, so a completion touches O(1) state and the cost is paid only
+// by the (few) cores whose horizon actually reads a shadow time.
 //
 // Representation. There is no materialized region structure: an idle
 // region is implicit — the connected set of idle cores reachable from a
 // queried core without crossing a busy core or the domain boundary. Its
 // effective times are fully determined by the region's *frontier
 // anchors*: the maintained effective times of local busy cores and the
-// frozen cross-shard proxies held by the region's cores. For the spatial
-// policy (IdleTime = min(neighbor eff) + T) the unique fixpoint of the
-// eager relaxation assigns an idle core c
+// frozen cross-shard proxies held by the region's cores. The unique
+// fixpoint of the relay rule assigns an idle core c
 //
-//	eff(c) = min over anchors a of  anchor(a) + T·(hops(c,a) + 1)
+//	eff(c) = min over anchors a of  anchor(a) + delta·(hops(c,a) + 1)
 //
 // where hops counts idle cores on a shortest path from c to a that stays
 // inside the domain's idle cores. domain.lazyFix computes exactly that by
 // a ring-layered BFS from the queried core, with an aggressive cutoff: a
 // lower bound on every anchor (domain.effFloor) prunes rings that cannot
 // improve the best value found so far. Sparse machines terminate after
-// one or two rings around the nearest busy core.
+// one or two rings around the nearest busy core; an infinite delta
+// terminates before the first ring.
 //
 // Memoization. Computed values are cached in the core's Kernel.eff slot
-// (the same slot the eager path maintains) and stamped with the domain's
-// invalidation epoch (Core.effStamp vs domain.effEpoch). The epoch
-// advances whenever any anchor of the domain changes — a busy core's
-// maintained eff moved, a core flipped busy/idle, or a barrier refreshed
-// the frozen proxies — so a stale memo is never served. Epoch bumps are
-// O(1); nothing is flooded. A barrier seeds every idle memo at once by
-// recording its epoch in domain.seedEpoch instead of stamping each core.
+// and stamped with the domain's invalidation epoch (Core.effStamp vs
+// domain.effEpoch). The epoch advances whenever any anchor of the domain
+// changes — a busy core's maintained eff moved, a core flipped
+// busy/idle, or a barrier refreshed the frozen proxies — so a stale memo
+// is never served. Epoch bumps are O(1); nothing is flooded. A barrier
+// seeds every idle memo at once by recording its epoch in
+// domain.seedEpoch instead of stamping each core.
 //
-// Determinism. The lazy values equal the eager fixpoint exactly (the BFS
-// computes the same shortest-path minimum the relaxation converges to),
-// so scheduling decisions, traces and results are byte-identical for a
-// fixed (seed, shards). The equivalence tests machine-check this claim
-// at every pick against a test-side fixpoint (eff_equiv_test.go), and
-// Kernel.Validate recomputes the eager fixpoint and compares every fresh
-// memo against it.
+// Determinism. The lazy values equal the relay fixpoint exactly (the BFS
+// computes the same shortest-path minimum a relaxation converges to), so
+// scheduling decisions, traces and results are a pure function of
+// (seed, shards). The equivalence tests machine-check this claim at every
+// pick against a test-side fixpoint (eff_equiv_test.go), and
+// Kernel.Validate recomputes the fixpoint and compares every fresh memo
+// against it.
 //
 // Scheduling. The indexed scheduler splits the stalled cores by what
 // their horizons read. A stalled core with no idle same-domain neighbor
 // depends only on busy neighbors' maintained times (every change posts a
-// schedUpdate from lazyEffSite's O(degree) neighbor pass) and frozen
-// cross-shard proxies, so it keeps an exact cached key in the runq —
-// bit-for-bit the eager behavior, at the eager cost. Only the stalled
-// cores adjacent to an idle region — whose horizons read shadow times
-// that post no callbacks — move to a secondary per-domain heap ordered
-// by (vt, ID) (stallq); every pick evaluates those on demand, with two
-// memo layers (the per-epoch horizon memo and the sticky per-shape-epoch
-// runnable bit) keeping repeated evaluations O(1).
+// schedUpdate from effSite's O(degree) neighbor pass) and frozen
+// cross-shard proxies, so it keeps an exact cached key in the runq. Only
+// the stalled cores adjacent to an idle region — whose horizons read
+// shadow times that post no callbacks — move to a secondary per-domain
+// heap ordered by (vt, ID) (stallq); every pick evaluates those on
+// demand, with two memo layers (the per-epoch horizon memo and the
+// sticky per-shape-epoch runnable bit) keeping repeated evaluations O(1).
 // See docs/effective-time.md for the full design and cost model.
 
-// IdleRelayPolicy is implemented by policies whose IdleTime is exactly
-// the spatial relay rule "min over neighbor effective times, plus a
-// constant delta" (Inf when no neighbor advertises a finite time). Only
-// for such policies can an idle region's interior times be reconstructed
-// from its busy frontier by shortest-path arithmetic, so the kernel
-// evaluates idle regions lazily exactly when IdleRelay returns ok with a
-// positive delta (a non-positive one would defeat the BFS distance
-// cutoff); every other policy keeps the eager propagation. Of the bundled
-// policies only the paper's Spatial qualifies — the drift-comparison
-// schemes all advertise Inf from idle cores and never enter the relay
-// machinery at all.
-type IdleRelayPolicy interface {
-	// IdleRelay returns the per-hop relay increment (Spatial.T) and
-	// whether lazy evaluation is admissible.
-	IdleRelay() (delta vtime.Time, ok bool)
-}
-
-// setupEff selects the effective-time scheme from the policy's
-// capabilities: lazy evaluation, with the relay increment cached for the
-// BFS and the barrier refresh, iff the policy relays with a positive
-// delta; the eager flood otherwise.
-func (k *Kernel) setupEff() {
-	p, ok := k.policy.(IdleRelayPolicy)
-	if !ok {
-		return
+// setupRelay caches the policy's relay increment for the BFS and the
+// barrier refresh and builds the landmark tables the BFS cutoff prunes
+// with. An infinite relay never gets past the first ring, so it needs no
+// landmarks.
+func (k *Kernel) setupRelay() {
+	k.relayDelta = k.policy.IdleRelay()
+	if k.relayDelta < 0 {
+		panic(fmt.Sprintf("core: policy %q relays idle shadows by a negative delta %v", k.policy.Name(), k.relayDelta))
 	}
-	if delta, ok := p.IdleRelay(); ok && delta > 0 {
-		k.relayDelta = delta
-		k.effLazy = true
+	if k.relayDelta < vtime.Inf {
 		k.buildLandmarks()
 	}
 }
@@ -154,15 +140,6 @@ func satScale(delta vtime.Time, hops int) vtime.Time {
 		return vtime.Inf
 	}
 	return delta * vtime.Time(hops)
-}
-
-// EffScheme names the active effective-time evaluation: "lazy" or
-// "eager".
-func (k *Kernel) EffScheme() string {
-	if k.effLazy {
-		return "lazy"
-	}
-	return "eager"
 }
 
 // satAdd adds a non-negative cost to a virtual time, saturating at Inf
@@ -230,16 +207,15 @@ func (d *domain) recomputeFloor() {
 	d.floorAge = 0
 }
 
-// lazyEffSite is the lazy counterpart of the updateEff call sites in
-// domain.step: instead of flooding, it maintains the frontier anchors —
-// c's own advertised time, the busy list and the anchor floor —
-// invalidates the memos when an anchor actually changed, and notifies
-// the stalled same-domain neighbors whose horizons read c directly.
-// O(degree), never O(region): the neighbor pass is exactly the cheap,
-// non-flooding prefix of the eager updateEff, and it is what lets
-// stalled cores with no idle neighbor keep exact runq keys (schedUpdate)
-// instead of being re-evaluated at every pick.
-func (d *domain) lazyEffSite(c *Core) {
+// effSite runs at the two effective-time maintenance sites in
+// domain.step (step start and step end). Instead of flooding, it
+// maintains the frontier anchors — c's own advertised time, the busy list
+// and the anchor floor — invalidates the memos when an anchor actually
+// changed, and notifies the stalled same-domain neighbors whose horizons
+// read c directly. O(degree), never O(region): the neighbor pass is what
+// lets stalled cores with no idle neighbor keep exact runq keys
+// (schedUpdate) instead of being re-evaluated at every pick.
+func (d *domain) effSite(c *Core) {
 	k := d.k
 	if !c.idle {
 		flipped := c.busyPos < 0
@@ -313,27 +289,10 @@ func (d *domain) lazyEffSite(c *Core) {
 	}
 }
 
-// effSite dispatches the two effective-time maintenance sites in
-// domain.step to the active evaluation scheme: the O(1) lazy bookkeeping,
-// or the eager flood plus the busy list the barrier refresh anchors on.
-func (d *domain) effSite(c *Core) {
-	if d.k.effLazy {
-		d.lazyEffSite(c)
-		return
-	}
-	d.updateEff(c)
-	if c.idle {
-		d.busyRemove(c)
-	} else {
-		d.busyAdd(c)
-	}
-}
-
-// lazyEff returns c's effective time under lazy evaluation: the core's
-// maintained value while busy, the memoized (or freshly computed)
-// region fixpoint while idle. Matches the eager fixpoint exactly,
-// including the busy==0 convention: with no local anchor, idle-only
-// relay chains have no fixpoint and everyone advertises Inf.
+// lazyEff returns c's effective time: the core's maintained value while
+// busy, the memoized (or freshly computed) region fixpoint while idle.
+// With no local anchor (busy == 0), idle-only relay chains have no
+// fixpoint and everyone advertises Inf.
 func (d *domain) lazyEff(c *Core) vtime.Time {
 	eff := d.k.eff
 	if !c.idle {
@@ -393,8 +352,8 @@ func (d *domain) lazyFix(c *Core) vtime.Time {
 				}
 				if !nb.idle {
 					// Local busy frontier: anchor at the maintained eff
-					// (the value as of the core's last step boundary, the
-					// same one the eager flood reads — not the live clock).
+					// (the value as of the core's last step boundary, not
+					// the live clock).
 					if v := satAdd(k.eff[nbID], cost); v < best {
 						best = v
 					}
@@ -459,39 +418,14 @@ func (d *domain) anchorCanImprove(c *Core, depth int, best vtime.Time) bool {
 	return false
 }
 
-// lazyMinNeighborEff is the lazy counterpart of Core.minNeighborEff: the
-// minimum over c's neighbors of their effective times, pulling idle local
-// neighbors through the region fixpoint and reading frozen proxies for
-// foreign ones. It is the value the eager proxies would hold at fixpoint.
-func (d *domain) lazyMinNeighborEff(c *Core) vtime.Time {
-	k := d.k
-	m := vtime.Inf
-	for j, nbID := range c.neighbors {
-		nb := k.cores[nbID]
-		var e vtime.Time
-		if nb.dom != d {
-			e = k.nbEff[int(k.adjOff[c.ID])+j] // frozen between barriers, same as eager
-		} else if !nb.idle {
-			e = k.eff[nbID]
-		} else {
-			e = d.lazyEff(nb)
-		}
-		if e < m {
-			m = e
-		}
-	}
-	return m
-}
-
-// stallq is a domain's secondary scheduling heap under lazy evaluation:
-// the stalled cores with at least one idle same-domain neighbor
-// (current != nil && idleNb > 0), ordered by (vt, ID). Their runnable
-// keys — when runnable at all — equal their clocks, but runnability
-// itself depends on lazily evaluated horizons, so membership here means
-// "idle-adjacent stalled", not "runnable"; pickCore evaluates the
-// horizons of the members with vt ≤ limit on demand. Clocks are frozen
-// while stalled, so the heap never needs re-keying between insert and
-// remove.
+// stallq is a domain's secondary scheduling heap: the stalled cores with
+// at least one idle same-domain neighbor (current != nil && idleNb > 0),
+// ordered by (vt, ID). Their runnable keys — when runnable at all —
+// equal their clocks, but runnability itself depends on lazily evaluated
+// horizons, so membership here means "idle-adjacent stalled", not
+// "runnable"; pickCore evaluates the horizons of the members with
+// vt ≤ limit on demand. Clocks are frozen while stalled, so the heap
+// never needs re-keying between insert and remove.
 type stallq struct {
 	heap []*Core
 }
@@ -639,11 +573,11 @@ func (d *domain) stallHorizon(c *Core) vtime.Time {
 	return h
 }
 
-// pickLazy is pickCore's indexed decision under lazy evaluation: the
-// best of the runq head (non-stalled runnables, exact cached keys) and
-// the best runnable stalled core, with the scan's (key, ID) preference,
-// plus the combined §VIII runnable count.
-func (d *domain) pickLazy(limit vtime.Time) (best *Core, key vtime.Time, count int) {
+// pickIndexed is pickCore's indexed decision: the best of the runq head
+// (non-stalled runnables, exact cached keys) and the best runnable
+// stalled core, with the scan's (key, ID) preference, plus the combined
+// §VIII runnable count.
+func (d *domain) pickIndexed(limit vtime.Time) (best *Core, key vtime.Time, count int) {
 	rqBest, rqCount := d.rq.pick(limit)
 	sBest, sCount := d.stallBest(limit)
 	count = rqCount + sCount
@@ -706,11 +640,10 @@ func (d *domain) rebuildLazyFromRefresh() {
 }
 
 // rebuildStallq reseats the domain's idle-adjacent stalled cores in the
-// secondary heap (lazy mode only); the counterpart of runq.rebuild for
-// the stalled set. Stalled cores with no idle same-domain neighbor stay
-// in the runq: every input of their horizons posts an invalidation
-// (lazyEffSite's neighbor pass, the barrier rebuild, schedUpdate), so
-// their cached keys are exact, same as under eager propagation.
+// secondary heap; the counterpart of runq.rebuild for the stalled set.
+// Stalled cores with no idle same-domain neighbor stay in the runq: every
+// input of their horizons posts an invalidation (effSite's neighbor pass,
+// the barrier rebuild, schedUpdate), so their cached keys are exact.
 func (d *domain) rebuildStallq() {
 	q := d.sq
 	q.heap = q.heap[:0]
@@ -730,7 +663,7 @@ func (d *domain) rebuildStallq() {
 
 // rebuildIdleNb recounts every owned core's idle same-domain neighbors —
 // the predicate routing stalled cores between the runq and the stall
-// heap. Maintained incrementally by lazyEffSite's flip branches while
+// heap. Maintained incrementally by effSite's flip branches while
 // running; recomputed here before the scheduling structures are rebuilt
 // (engine start, restore).
 func (d *domain) rebuildIdleNb() {
@@ -748,20 +681,13 @@ func (d *domain) rebuildIdleNb() {
 }
 
 // indexedHead returns the minimal runnable (key, core) the indexed
-// structures can see under an infinite limit — the per-domain input to
-// the sharded round setup. Under lazy evaluation this folds the stalled
-// heap in; otherwise it is the plain runq head.
+// structures can see under an infinite limit — the runq head and the
+// stalled heap folded together, the per-domain input to the sharded
+// round setup.
 func (d *domain) indexedHead() (*Core, vtime.Time) {
-	if d.k.effLazy {
-		c, key, _ := d.pickLazy(vtime.Inf)
-		if c == nil {
-			return nil, vtime.Inf
-		}
-		return c, key
-	}
-	head := d.rq.peek()
-	if head == nil {
+	c, key, _ := d.pickIndexed(vtime.Inf)
+	if c == nil {
 		return nil, vtime.Inf
 	}
-	return head, head.schedKey
+	return c, key
 }

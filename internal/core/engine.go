@@ -51,17 +51,15 @@ type domain struct {
 	runnableSamples int64
 	runnableMax     int
 
-	propQueue []int //simany:derived reusable scratch for shadow-time propagation, empty between uses
-
 	// busyList holds the IDs of the domain's busy cores (Core.busyPos is
-	// each one's slot), maintained at every busy/idle flip under both
-	// effective-time schemes: the barrier refresh anchors on it, and lazy
-	// evaluation treats it as the frontier anchor set.
+	// each one's slot), maintained at every busy/idle flip: the barrier
+	// refresh anchors on it, and lazy evaluation treats it as the
+	// frontier anchor set.
 	busyList []int32 //simany:derived busy-core list, rebuilt from idle flags after decode
 
 	// Lazy effective-time state (efflazy.go): the memo-invalidation
 	// epochs, the exact/conservative anchor floors and the stalled-core
-	// scheduling heap active under lazy evaluation.
+	// scheduling heap of the indexed scheduler.
 	sq       *stallq //simany:derived stalled-core heap, rebuilt by schedRebuild after decode
 	effEpoch uint64  //simany:derived memo invalidation epoch, bumping it after decode discards all memos
 	// seedEpoch is the effEpoch at which a barrier seeded every idle
@@ -84,10 +82,6 @@ type domain struct {
 	frozenFloor vtime.Time
 	floorAge    int   //simany:derived staleness counter for the conservative floor, reset on recompute
 	effScratch  []int //simany:derived reusable BFS ring buffer, empty between uses
-	// allIdleInf records that every owned core (and its local mirrors)
-	// already advertises Inf, so the eager busy==0 broadcast can return
-	// without rescanning the domain.
-	allIdleInf bool //simany:derived recomputed by refreshEff; true after decode of an all-idle machine
 
 	// Sharded-engine state: cross-shard traffic deferred to the next
 	// barrier, and the step count of the current round.
@@ -205,9 +199,9 @@ func (d *domain) scanRunnable(limit vtime.Time) (best *Core, bestKey vtime.Time,
 }
 
 // pickCore selects the runnable core with the lowest virtual-time key not
-// exceeding limit (deterministic; ties broken by core ID): an O(1) peek
-// at the indexed runnable queue when the domain has one, the reference
-// scan otherwise. It also samples how many cores were simultaneously
+// exceeding limit (deterministic; ties broken by core ID): the indexed
+// decision (pickIndexed: the runq head and the on-demand stalled heap)
+// when the domain has an index, the reference scan otherwise. It also samples how many cores were simultaneously
 // runnable — the quantity behind the paper's §VIII observation that
 // spatial synchronization leaves enough independently simulatable cores
 // to keep a multi-core host busy.
@@ -215,18 +209,10 @@ func (d *domain) pickCore(limit vtime.Time) *Core {
 	var best *Core
 	var key vtime.Time
 	var runnable int
-	switch {
-	case d.rq == nil:
+	if d.rq == nil {
 		best, key, runnable = d.scanRunnable(limit)
-	case d.k.effLazy:
-		// Lazy evaluation: stalled cores live in the secondary heap and
-		// their horizons are evaluated on demand (efflazy.go).
-		best, key, runnable = d.pickLazy(limit)
-	default:
-		best, runnable = d.rq.pick(limit)
-		if best != nil {
-			key = best.schedKey
-		}
+	} else {
+		best, key, runnable = d.pickIndexed(limit)
 	}
 	if d.k.onPick != nil {
 		d.k.onPick(d, limit, best, key, runnable)
@@ -358,90 +344,5 @@ func (d *domain) releaseWorker(t *Task) {
 	if t.release {
 		*t = Task{}
 		d.freeTasks = append(d.freeTasks, t)
-	}
-}
-
-// updateEff recomputes c's advertised effective time and propagates shadow
-// updates through idle neighbors until a fixpoint, as idle cores relay
-// virtual-time updates in the paper (§II.A "Non-connected sets of active
-// cores"). Propagation never crosses the domain boundary: proxies held for
-// cores of other shards stay frozen between barriers (the sharded engine
-// refreshes them globally at each barrier), which is exactly the bounded
-// staleness the round quantum accounts for.
-func (d *domain) updateEff(c *Core) {
-	k := d.k
-	if d.busy == 0 {
-		// No anchor: idle-only shadow chains have no fixpoint (each relay
-		// adds T), so everyone advertises Inf until a core wakes up. No
-		// runnable-index invalidation is needed here: with every owned
-		// core idle there are no stalled cores, and an idle core's
-		// runnable key never depends on effective times.
-		if d.allIdleInf {
-			// The broadcast already ran (or the machine never woke this
-			// domain): every owned core and its local mirrors advertise
-			// Inf, so rescanning them would be a pure no-op. This keeps
-			// repeated all-idle calls O(1) instead of O(owned cores).
-			return
-		}
-		d.allIdleInf = true
-		for _, cc := range d.cores {
-			if k.eff[cc.ID] != vtime.Inf {
-				k.eff[cc.ID] = vtime.Inf
-				for _, nbID := range cc.neighbors {
-					nb := k.cores[nbID]
-					if nb.dom != d {
-						continue
-					}
-					for j, nid := range nb.neighbors {
-						if nid == cc.ID {
-							nb.proxies()[j] = vtime.Inf
-							break
-						}
-					}
-				}
-			}
-		}
-		return
-	}
-	d.allIdleInf = false
-	// The worklist is domain scratch drained through a cursor, so the
-	// backing array is reused across calls instead of creeping forward.
-	d.propQueue = append(d.propQueue[:0], c.ID)
-	for head := 0; head < len(d.propQueue); head++ {
-		cc := k.cores[d.propQueue[head]]
-		var eff vtime.Time
-		if cc.idle {
-			eff = k.policy.IdleTime(cc)
-		} else {
-			eff = cc.vt
-		}
-		if eff == k.eff[cc.ID] {
-			continue
-		}
-		k.eff[cc.ID] = eff
-		for _, nbID := range cc.neighbors {
-			nb := k.cores[nbID]
-			if nb.dom != d {
-				continue
-			}
-			// Update the proxy this neighbor keeps for cc.
-			for j, nid := range nb.neighbors {
-				if nid == cc.ID {
-					if p := nb.proxies(); p[j] != eff {
-						p[j] = eff
-						if nb.current != nil {
-							// A moved proxy moves the stalled neighbor's
-							// horizon, which is the one runnability input
-							// not covered by queue or step updates.
-							d.schedUpdate(nb)
-						}
-						if nb.idle {
-							d.propQueue = append(d.propQueue, nbID)
-						}
-					}
-					break
-				}
-			}
-		}
 	}
 }

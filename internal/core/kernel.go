@@ -153,26 +153,21 @@ type Kernel struct {
 	quantum vtime.Time //simany:derived engine configuration, reinstated by New
 	//simany:derived transient: checkpoints only happen outside barriers
 	inBarrier bool
-	//simany:derived locality table, recomputed by setupEngine (nil if not precomputed)
-	pairLocal []bool // n×n: route stays inside one shard
 
-	// Effective-time scheme, selected from the policy's capabilities
-	// (efflazy.go): effLazy arms the lazy idle-region machinery
-	// (IdleRelayPolicy) and relayDelta caches the policy's per-hop relay
-	// increment (0 under eager evaluation). The scheduler is selected per
-	// domain (domain.rq). onPick, when set, observes every scheduling
-	// decision of a domain, including the empty ones (test hook; called
-	// from the worker driving that domain).
-	effLazy    bool       //simany:derived policy-derived configuration, reinstated by New
+	// relayDelta caches the policy's per-hop idle relay increment
+	// (Policy.IdleRelay) for the lazy idle-region machinery (efflazy.go).
+	// The scheduler is selected per domain (domain.rq). onPick, when set,
+	// observes every scheduling decision of a domain, including the empty
+	// ones (test hook; called from the worker driving that domain).
 	relayDelta vtime.Time //simany:derived policy-derived configuration, reinstated by New
-	lmDist     [][]int32  //simany:derived landmark hop-distance tables, rebuilt by setupEff from the topology
+	lmDist     [][]int32  //simany:derived landmark hop-distance tables, rebuilt by setupRelay from the topology
 	onPick     func(d *domain, limit vtime.Time, best *Core, key vtime.Time, runnable int)
 
 	// Flat effective-time state (shard.go, efflazy.go), indexed by core
 	// ID so the barrier refresh walks small arrays instead of Core
 	// structs. eff is each core's advertised effective time (vt when
-	// busy, shadow time when idle; under lazy evaluation an idle core's
-	// value is a memo, see Core.effStamp). adjOff/adj are the adjacency
+	// busy, shadow time when idle; an idle core's value is a memo, see
+	// Core.effStamp). adjOff/adj are the adjacency
 	// in CSR form — core c's neighbors are adj[adjOff[c]:adjOff[c+1]],
 	// aligned with Core.neighbors — and nbEff holds the neighbor proxies
 	// in the same order (Core.proxies returns one core's row).
@@ -479,7 +474,6 @@ func (k *Kernel) setupEngine(cfg Config) {
 			shapeEpoch:  1,
 			effFloor:    vtime.Inf,
 			frozenFloor: vtime.Inf,
-			allIdleInf:  true,
 		}
 	}
 	for i, c := range k.cores {
@@ -492,17 +486,12 @@ func (k *Kernel) setupEngine(cfg Config) {
 			}
 		}
 	}
-	k.setupEff()
+	k.setupRelay()
 	k.setupScheduler()
-	if k.effLazy {
-		// Valid idle-neighbor counts from the start: Validate may run on a
-		// kernel that has never entered an engine loop.
-		for _, d := range k.domains {
-			d.rebuildIdleNb()
-		}
-	}
-	if k.sharded {
-		k.buildPairLocal()
+	// Valid idle-neighbor counts from the start: Validate may run on a
+	// kernel that has never entered an engine loop.
+	for _, d := range k.domains {
+		d.rebuildIdleNb()
 	}
 	if cfg.Metrics != nil {
 		k.met = newKernelMetrics(cfg.Metrics, shards)
@@ -522,12 +511,10 @@ func (k *Kernel) setupScheduler() {
 	}
 	for _, d := range k.domains {
 		d.rq = newRunq(d)
-		if k.effLazy {
-			// Lazy effective times leave stalled cores' horizons without
-			// invalidation callbacks; they are indexed in a secondary
-			// (vt, ID) heap and evaluated on demand (efflazy.go).
-			d.sq = &stallq{}
-		}
+		// Lazy effective times leave the horizons of stalled cores next to
+		// an idle region without invalidation callbacks; they are indexed
+		// in a secondary (vt, ID) heap and evaluated on demand (efflazy.go).
+		d.sq = &stallq{}
 	}
 }
 
@@ -536,16 +523,12 @@ func (k *Kernel) setupScheduler() {
 // after that is incremental.
 func (k *Kernel) schedRebuild() {
 	for _, d := range k.domains {
-		if k.effLazy {
-			// The idle-neighbor counts route stalled cores between the
-			// two heaps, so they must be exact before either rebuild.
-			d.rebuildIdleNb()
-		}
+		// The idle-neighbor counts route stalled cores between the two
+		// heaps, so they must be exact before either rebuild.
+		d.rebuildIdleNb()
 		if d.rq != nil {
 			d.rq.rebuild()
-			if k.effLazy {
-				d.rebuildStallq()
-			}
+			d.rebuildStallq()
 		}
 	}
 }
@@ -576,28 +559,10 @@ func (k *Kernel) shardUnsafeReason(cfg Config) string {
 	return ""
 }
 
-// buildPairLocal precomputes, for every (src,dst) pair, whether the
-// network route stays inside a single shard, so intra-shard messages can
-// be delivered synchronously without touching another shard's link state.
-func (k *Kernel) buildPairLocal() {
-	n := len(k.cores)
-	if n > 4096 {
-		return // fall back to per-send route walks
-	}
-	k.pairLocal = make([]bool, n*n)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			k.pairLocal[src*n+dst] = k.net.RouteWithin(src, dst, k.part)
-		}
-	}
-}
-
 // localDelivery reports whether a message can be routed and handled
-// synchronously by the shard that owns both endpoints.
+// synchronously by the shard that owns both endpoints: its whole route
+// stays inside one shard, so it touches no other shard's link state.
 func (k *Kernel) localDelivery(src, dst int) bool {
-	if k.pairLocal != nil {
-		return k.pairLocal[src*len(k.cores)+dst]
-	}
 	return k.net.RouteWithin(src, dst, k.part)
 }
 

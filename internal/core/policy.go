@@ -4,8 +4,7 @@ import "simany/internal/vtime"
 
 // Policy is a virtual-time synchronization scheme. The kernel consults it
 // to decide how far a core may advance before yielding control (Horizon)
-// and what effective time an idle core advertises to its neighbors
-// (IdleTime).
+// and how an idle core relays its neighbors' effective times (IdleRelay).
 //
 // The spatial synchronization of the paper is implemented by Spatial;
 // package drift provides the related-work alternatives (global quantum,
@@ -18,15 +17,19 @@ type Policy interface {
 	// allowed (annotation blocks are atomic); the core then stalls until
 	// the horizon moves past its clock.
 	Horizon(c *Core) vtime.Time
-	// IdleTime returns the effective virtual time an idle core advertises.
-	// Policies without a shadow-time concept return vtime.Inf so idle
-	// cores never constrain anyone.
-	IdleTime(c *Core) vtime.Time
+	// IdleRelay returns the per-hop relay increment delta ≥ 0 of the
+	// idle-core rule (§II.A): an idle core advertises the minimum of its
+	// neighbors' effective times plus delta, Inf when no neighbor
+	// advertises a finite time. Spatial relays by T; policies without a
+	// shadow-time concept return vtime.Inf, so idle cores never constrain
+	// anyone. The kernel evaluates idle regions lazily from this constant
+	// (efflazy.go); New panics on a negative delta.
+	IdleRelay() vtime.Time
 }
 
-// ShardLocalPolicy is implemented by policies whose Horizon and IdleTime
-// are pure functions of the core's neighbor effective-time proxies, its
-// outstanding birth stamps and its lock depth: no reads of global machine
+// ShardLocalPolicy is implemented by policies whose Horizon is a pure
+// function of the core's neighbor effective times, its outstanding
+// birth stamps and its lock depth: no reads of global machine
 // state and no side effects (no RNG draws, no metric probes). That one
 // capability selects both fast paths. Such a policy can drive the sharded
 // parallel engine, and its horizons may be cached between the events that
@@ -56,12 +59,9 @@ func (s Spatial) Name() string { return "spatial" }
 // neighbor proxies, local birth stamps and the lock depth.
 func (s Spatial) ShardLocal() bool { return true }
 
-// IdleRelay implements IdleRelayPolicy: the spatial IdleTime is exactly
-// the relay rule "min neighbor effective time plus T", so idle-region
-// interiors can be reconstructed lazily from the busy frontier
-// (efflazy.go). A non-positive T would defeat the BFS distance cutoff,
-// so it keeps the eager propagation.
-func (s Spatial) IdleRelay() (vtime.Time, bool) { return s.T, s.T > 0 }
+// IdleRelay implements Policy: an idle core's shadow time is the minimum
+// neighbor effective time plus T.
+func (s Spatial) IdleRelay() vtime.Time { return s.T }
 
 // Horizon implements Policy.
 func (s Spatial) Horizon(c *Core) vtime.Time {
@@ -73,15 +73,6 @@ func (s Spatial) Horizon(c *Core) vtime.Time {
 	if b := c.minBirth(); b < m {
 		m = b
 	}
-	if m == vtime.Inf {
-		return vtime.Inf
-	}
-	return m + s.T
-}
-
-// IdleTime implements Policy.
-func (s Spatial) IdleTime(c *Core) vtime.Time {
-	m := c.minNeighborEff()
 	if m == vtime.Inf {
 		return vtime.Inf
 	}

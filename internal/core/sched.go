@@ -27,9 +27,10 @@ import (
 //     domain.step (the post-step update covers them);
 //   - for a core stalled mid-task, the policy horizon — which for a
 //     shard-local policy (ShardLocalPolicy) is a pure function of the
-//     core's neighbor proxies (updateEff / refreshEff), its birth stamps
-//     (RegisterBirth / clearBirth) and its lock depth (mutated only by the
-//     core's own running task).
+//     core's neighbor effective times (effSite / refreshEff; stalled
+//     cores next to an idle region are evaluated on demand instead, see
+//     efflazy.go), its birth stamps (RegisterBirth / clearBirth) and its
+//     lock depth (mutated only by the core's own running task).
 //
 // Policies whose horizons read global machine state or have side effects
 // (the drift-comparison schemes draw referee RNGs and record probe
@@ -157,17 +158,15 @@ func (q *runq) update(c *Core) {
 
 // rebuild recomputes the queue from scratch — membership, keys and heap
 // order — in O(cores). Run() calls it once per engine start; everything
-// after that is incremental. Under lazy effective-time evaluation the
-// idle-adjacent stalled cores belong to the secondary heap (rebuilt
-// separately) and are excluded here.
+// after that is incremental. The idle-adjacent stalled cores belong to
+// the secondary heap (rebuilt separately) and are excluded here.
 func (q *runq) rebuild() {
-	lazy := q.d.k.effLazy
 	q.heap = q.heap[:0]
 	for _, c := range q.d.cores {
 		c.schedPos = -1
 	}
 	for _, c := range q.d.cores {
-		if lazy && c.current != nil && c.idleNb > 0 {
+		if c.current != nil && c.idleNb > 0 {
 			continue
 		}
 		if key, ok := q.d.runnable(c); ok {
@@ -223,39 +222,37 @@ func (q *runq) pick(limit vtime.Time) (*Core, int) {
 // post-step update in domain.step settles it before the queue is next
 // read (the domain only consults the queue between steps).
 //
-// Under lazy effective-time evaluation a stalled core with an idle
-// same-domain neighbor is routed to the secondary (vt, ID) heap instead:
+// A stalled core with an idle same-domain neighbor is routed to the
+// secondary (vt, ID) heap instead:
 // its horizon reads lazily evaluated shadow times that post no
 // invalidation callbacks, so no cached key could be kept honest —
 // pickCore evaluates it on demand (efflazy.go). Stalled cores without
 // idle neighbors keep exact runq keys: their horizons read only busy
-// neighbors' maintained times (lazyEffSite notifies on every change) and
+// neighbors' maintained times (effSite notifies on every change) and
 // frozen cross-shard proxies (refreshed under a full rebuild).
 func (d *domain) schedUpdate(c *Core) {
 	if d.rq == nil {
 		return
 	}
-	if d.k.effLazy {
-		// Every non-eff horizon input (clock, births, locks) funnels its
-		// mutations through here, so dropping the horizon and sticky
-		// runnable memos on each update is exactly the invalidation their
-		// contracts need.
-		c.hzStamp = 0
-		c.rnStamp = 0
-		if c.current != nil && c.idleNb > 0 {
-			// The mid-step core stays out of the stall heap (its clock is
-			// moving); the post-step update re-seats it.
-			if c != d.stepping {
-				d.sq.update(c)
-			}
-			if c.schedPos >= 0 {
-				d.rq.remove(c)
-			}
-			return
+	// Every non-eff horizon input (clock, births, locks) funnels its
+	// mutations through here, so dropping the horizon and sticky runnable
+	// memos on each update is exactly the invalidation their contracts
+	// need.
+	c.hzStamp = 0
+	c.rnStamp = 0
+	if c.current != nil && c.idleNb > 0 {
+		// The mid-step core stays out of the stall heap (its clock is
+		// moving); the post-step update re-seats it.
+		if c != d.stepping {
+			d.sq.update(c)
 		}
-		if c.stallPos >= 0 {
-			d.sq.remove(c)
+		if c.schedPos >= 0 {
+			d.rq.remove(c)
 		}
+		return
+	}
+	if c.stallPos >= 0 {
+		d.sq.remove(c)
 	}
 	d.rq.update(c)
 }
@@ -278,29 +275,24 @@ func (d *domain) checkRunq() error {
 			return fmt.Errorf("domain %d: heap order violated at index %d (core %d)", d.id, i, c.ID)
 		}
 	}
-	// Tests may graft a runq onto a scan-mode kernel; the stall heap only
-	// exists when the engine itself runs the indexed scheduler lazily.
-	lazy := d.k.effLazy && d.sq != nil
-	if lazy {
-		for i, c := range d.sq.heap {
-			if c.stallPos != i {
-				return fmt.Errorf("domain %d: core %d stall-heap position %d, recorded %d", d.id, c.ID, i, c.stallPos)
-			}
-			if c == d.stepping {
-				// The mid-step core's clock is in flux, so step removes it
-				// from this heap until the post-step update.
-				return fmt.Errorf("domain %d: mid-step core %d still in the stall heap", d.id, c.ID)
-			}
-			if i > 0 && stallLess(c, d.sq.heap[(i-1)/2]) {
-				return fmt.Errorf("domain %d: stall-heap order violated at index %d (core %d)", d.id, i, c.ID)
-			}
+	for i, c := range d.sq.heap {
+		if c.stallPos != i {
+			return fmt.Errorf("domain %d: core %d stall-heap position %d, recorded %d", d.id, c.ID, i, c.stallPos)
+		}
+		if c == d.stepping {
+			// The mid-step core's clock is in flux, so step removes it
+			// from this heap until the post-step update.
+			return fmt.Errorf("domain %d: mid-step core %d still in the stall heap", d.id, c.ID)
+		}
+		if i > 0 && stallLess(c, d.sq.heap[(i-1)/2]) {
+			return fmt.Errorf("domain %d: stall-heap order violated at index %d (core %d)", d.id, i, c.ID)
 		}
 	}
 	for _, c := range d.cores {
 		if c == d.stepping {
 			continue
 		}
-		if lazy && c.current != nil && c.idleNb > 0 {
+		if c.current != nil && c.idleNb > 0 {
 			// Idle-adjacent stalled cores live in the secondary heap; their
 			// runnability is evaluated on demand, never cached in the runq.
 			if c.schedPos >= 0 {
@@ -311,7 +303,7 @@ func (d *domain) checkRunq() error {
 			}
 			continue
 		}
-		if lazy && c.stallPos >= 0 {
+		if c.stallPos >= 0 {
 			return fmt.Errorf("domain %d: core %d in the stall heap but not idle-adjacent stalled", d.id, c.ID)
 		}
 		key, ok := d.runnable(c)

@@ -8,10 +8,11 @@ import (
 )
 
 // schedTestKernel builds a small kernel on the reference scan (no runq of
-// its own), so tests can graft a manual queue without engine interference.
+// its own), so tests can graft a manual queue (with the stall heap
+// Validate expects next to it) without engine interference.
 func schedTestKernel(t *testing.T) *Kernel {
 	t.Helper()
-	return New(Config{Topo: topology.Mesh(9), Policy: ScanEager{spatialT}, Seed: 1})
+	return New(Config{Topo: topology.Mesh(9), Policy: ScanLazy{spatialT}, Seed: 1})
 }
 
 // readyAt attaches a fresh task with the given arrival stamp to core c.
@@ -33,7 +34,7 @@ func TestRunqInsertRemoveUpdate(t *testing.T) {
 	k := schedTestKernel(t)
 	d := k.domains[0]
 	q := newRunq(d)
-	d.rq = q
+	d.rq, d.sq = q, &stallq{}
 
 	c1, c3, c5 := k.Core(1), k.Core(3), k.Core(5)
 
@@ -96,7 +97,7 @@ func TestRunqCountAtMostAndPick(t *testing.T) {
 	k := schedTestKernel(t)
 	d := k.domains[0]
 	q := newRunq(d)
-	d.rq = q
+	d.rq, d.sq = q, &stallq{}
 
 	stamps := []int64{70, 20, 50, 20, 90}
 	for i, s := range stamps {

@@ -223,9 +223,10 @@ const (
 
 // refreshEff rebuilds every core's advertised effective time and all
 // neighbor proxies from global state: busy cores anchor at their clocks,
-// idle cores relax downward from Inf through the policy's shadow-time rule
-// until the (unique) fixpoint. Running it single-threaded at each barrier
-// restores the cross-shard proxies that stayed frozen during the round.
+// idle cores relax downward from Inf through the relay rule
+// (min(neighbors) + Kernel.relayDelta) until the (unique) fixpoint.
+// Running it single-threaded at each barrier restores the cross-shard
+// proxies that stayed frozen during the round.
 //
 // It works on the flat state (Kernel.eff, adj, nbEff) and touches Core
 // structs only for busy cores (taken from the per-domain busy lists) and
@@ -240,18 +241,11 @@ const (
 //     depend on the order.
 //  3. Gather every proxy, nbEff[e] = eff[adj[e]], noting first which
 //     stalled cores see a changed proxy.
-//  4. Rebuild the lazy bookkeeping in O(busy + cut edges) per domain
-//     (under lazy evaluation), then post one schedUpdate per stalled core
-//     noted in step 3 — the only runnability input the refresh moves.
-//     Picks break ties on (key, ID), a total order, so neither the number
-//     nor the order of these updates can change a pick.
-//
-// Policies evaluated lazily (IdleRelayPolicy) get the relay rule inlined
-// (the policy's IdleTime is exactly that computation, and it would
-// recurse into the lazy reads mid-relaxation); any other policy has an
-// idle core's proxies gathered and its IdleTime called, with every idle
-// core seeded, since a general IdleTime may be finite with no finite
-// neighbor.
+//  4. Rebuild the lazy bookkeeping in O(busy + cut edges) per domain,
+//     then post one schedUpdate per stalled core noted in step 3 — the
+//     only runnability input the refresh moves. Picks break ties on
+//     (key, ID), a total order, so neither the number nor the order of
+//     these updates can change a pick.
 func (k *Kernel) refreshEff() {
 	eff, nbEff := k.eff, k.nbEff
 	for i := range eff {
@@ -266,10 +260,7 @@ func (k *Kernel) refreshEff() {
 			nbEff[e] = vtime.Inf
 		}
 		for _, d := range k.domains {
-			d.allIdleInf = true
-			if k.effLazy {
-				d.resetLazyIdle()
-			}
+			d.resetLazyIdle()
 		}
 		return
 	}
@@ -281,7 +272,6 @@ func (k *Kernel) refreshEff() {
 	// Step 1 (the Inf reset ran above): anchor the busy cores.
 	mark, adj, off := k.effMark, k.adj, k.adjOff
 	for _, d := range k.domains {
-		d.allIdleInf = false
 		for _, b := range d.busyList {
 			eff[b] = k.cores[b].vt
 			mark[b] = markBusy
@@ -312,10 +302,8 @@ func (k *Kernel) refreshEff() {
 
 	// Step 4: lazy bookkeeping, then the scheduler updates, which may
 	// read it.
-	if k.effLazy {
-		for _, d := range k.domains {
-			d.rebuildLazyFromRefresh()
-		}
+	for _, d := range k.domains {
+		d.rebuildLazyFromRefresh()
 	}
 	for _, c := range stalled {
 		// Unfrozen cross-shard proxies move the stalled core's horizon;
@@ -329,13 +317,13 @@ func (k *Kernel) refreshEff() {
 
 // relaxIdle is step 2 of refreshEff: with busy cores marked and anchored
 // in Kernel.eff and every idle core at Inf, it lowers the idle cores to
-// the shadow-time fixpoint through a FIFO ring of core IDs. Every queued
-// mark it sets is cleared again.
+// the relay fixpoint through a FIFO ring of core IDs. Every queued mark
+// it sets is cleared again. An infinite relay pops each seed once and
+// changes nothing.
 func (k *Kernel) relaxIdle() {
-	eff, nbEff, mark, ring := k.eff, k.nbEff, k.effMark, k.effRing
+	eff, mark, ring := k.eff, k.effMark, k.effRing
 	adj, off := k.adj, k.adjOff
 	delta := k.relayDelta
-	relay := delta > 0
 	n := len(ring)
 	head, tail, queued := 0, 0, 0
 	push := func(c int32) {
@@ -346,20 +334,12 @@ func (k *Kernel) relaxIdle() {
 		}
 		queued++
 	}
-	if relay {
-		for _, d := range k.domains {
-			for _, b := range d.busyList {
-				for _, nb := range adj[off[b]:off[b+1]] {
-					if mark[nb] == 0 {
-						push(nb)
-					}
+	for _, d := range k.domains {
+		for _, b := range d.busyList {
+			for _, nb := range adj[off[b]:off[b+1]] {
+				if mark[nb] == 0 {
+					push(nb)
 				}
-			}
-		}
-	} else {
-		for c, m := range mark {
-			if m == 0 {
-				push(int32(c))
 			}
 		}
 	}
@@ -369,31 +349,23 @@ func (k *Kernel) relaxIdle() {
 			head = 0
 		}
 		mark[c] &^= markQueued
-		var e vtime.Time
-		if relay {
-			m := vtime.Inf
-			for _, nb := range adj[off[c]:off[c+1]] {
-				if eff[nb] < m {
-					m = eff[nb]
-				}
+		m := vtime.Inf
+		for _, nb := range adj[off[c]:off[c+1]] {
+			if eff[nb] < m {
+				m = eff[nb]
 			}
-			e = satAdd(m, delta)
-		} else {
-			for i := off[c]; i < off[c+1]; i++ {
-				nbEff[i] = eff[adj[i]]
-			}
-			e = k.policy.IdleTime(k.cores[c])
 		}
+		e := satAdd(m, delta)
 		if e >= eff[c] {
 			continue
 		}
 		eff[c] = e
-		// Under the relay rule a neighbor can only improve through c if
-		// e+delta beats its current value; skipping the others (c's own
-		// predecessors, above all) halves the pops on a sparse machine.
+		// A neighbor can only improve through c if e+delta beats its
+		// current value; skipping the others (c's own predecessors, above
+		// all) halves the pops on a sparse machine.
 		via := satAdd(e, delta)
 		for _, nb := range adj[off[c]:off[c+1]] {
-			if mark[nb] == 0 && (!relay || via < eff[nb]) {
+			if mark[nb] == 0 && via < eff[nb] {
 				push(nb)
 			}
 		}

@@ -203,9 +203,7 @@ func (d *domain) snapshot(enc *snap.Encoder) bool {
 // effective-time apparatus (memo stamps, busy-frontier list, stall heap,
 // pruning floors; efflazy.go) — is deliberately excluded: restore rebuilds
 // it (refreshEff, schedRebuild, lazy recompute) and Kernel.Validate
-// re-verifies it. That also keeps checkpoints byte-identical across the
-// lazy and eager effective-time schemes, so a checkpoint restores under
-// either with the same results.
+// re-verifies it.
 func (c *Core) snapshot(enc *snap.Encoder) bool {
 	decodeOK := true
 	enc.Time(c.vt)

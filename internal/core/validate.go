@@ -12,15 +12,12 @@ import (
 // ValidatingTracer) to check consistency continuously during a run.
 //
 // Checked invariants:
-//   - every neighbor-proxy entry mirrors the neighbor's advertised time
-//     (eager mode only — lazy mode replaces this with the region checks
-//     below);
 //   - each domain's busy list partitions its cores against their idle
 //     flags, with exact back-pointers;
-//   - with lazy effective times active: the pruning floor lower-bounds
-//     every anchor (busy cores and frozen foreign proxies), and every
-//     fresh idle memo — stamped, or seeded by the last barrier through
-//     the domain's seed epoch — equals an independently recomputed eager
+//   - the lazy effective times: the pruning floor lower-bounds every
+//     anchor (busy cores and frozen foreign proxies), and every fresh
+//     idle memo — stamped, or seeded by the last barrier through the
+//     domain's seed epoch — equals an independently recomputed relay
 //     fixpoint;
 //   - a busy core never advertises a time ahead of its own clock;
 //   - the cached minimum birth stamp matches the birth map;
@@ -50,23 +47,6 @@ func (k *Kernel) Validate() error {
 			}
 		} else if c.busyPos >= 0 {
 			return fmt.Errorf("domain %d: idle core %d claims busy-list slot %d", c.dom.id, c.ID, c.busyPos)
-		}
-		if !k.effLazy {
-			for j, nbID := range c.neighbors {
-				nb := k.cores[nbID]
-				// Cross-shard proxies are intentionally frozen between
-				// barriers, so only same-shard mirrors are exact at all
-				// times. Under lazy evaluation no proxy is maintained
-				// between barriers at all (the lazy fixpoint check below
-				// replaces this invariant).
-				if nb.dom != c.dom {
-					continue
-				}
-				if p := c.proxies()[j]; p != k.eff[nbID] {
-					return fmt.Errorf("core %d: proxy for neighbor %d is %v, neighbor advertises %v",
-						c.ID, nbID, p, k.eff[nbID])
-				}
-			}
 		}
 		if c.lockDepth < 0 {
 			return fmt.Errorf("core %d: negative lock depth %d", c.ID, c.lockDepth)
@@ -133,10 +113,8 @@ func (k *Kernel) Validate() error {
 			}
 		}
 	}
-	if k.effLazy {
-		if err := k.checkLazyEff(); err != nil {
-			return err
-		}
+	if err := k.checkLazyEff(); err != nil {
+		return err
 	}
 	for _, d := range k.domains {
 		for id, t := range d.blocked {
@@ -168,7 +146,7 @@ func (k *Kernel) Validate() error {
 // the pruning floors lower-bound every anchor, the cut-edge list names
 // exactly the domain's cross-shard proxy slots, and every fresh memo —
 // stamped by lazyEff or seeded by the last barrier — matches an
-// independently recomputed eager fixpoint over the domain (anchored at
+// independently recomputed relay fixpoint over the domain (anchored at
 // busy cores and frozen foreign proxies — exactly the inputs lazyFix
 // reads).
 func (k *Kernel) checkLazyEff() error {
@@ -258,7 +236,7 @@ func (k *Kernel) checkLazyEff() error {
 				if seeded {
 					how = "seeded memo"
 				}
-				return fmt.Errorf("domain %d: idle core %d %s %v, eager fixpoint %v", d.id, c.ID, how, e, fix[c.ID])
+				return fmt.Errorf("domain %d: idle core %d %s %v, relay fixpoint %v", d.id, c.ID, how, e, fix[c.ID])
 			}
 		}
 	}

@@ -34,17 +34,22 @@ func TestValidateAfterRun(t *testing.T) {
 }
 
 func TestValidateDetectsCorruption(t *testing.T) {
-	// Eager mode: the proxy-mirror invariant only holds when proxies are
-	// maintained (lazy evaluation leaves them stale between barriers).
-	k := New(Config{Topo: topology.Mesh(4), Seed: 1, Policy: IndexEager{spatialT}})
-	// Corrupt a neighbor proxy directly.
-	k.cores[0].proxies()[0] = vtime.CyclesInt(12345)
+	// Two shards, so some proxies are frozen cross-shard ones: a frozen
+	// proxy below the domain's frozen-proxy floor (Inf on a fresh kernel)
+	// breaks the lazy BFS cutoff.
+	k := New(Config{Topo: topology.Mesh(4), Seed: 1, Shards: 2})
+	d := k.domains[0]
+	if len(d.cutEdges) == 0 {
+		t.Fatal("no cross-shard proxy to corrupt")
+	}
+	slot := d.cutEdges[0]
+	k.nbEff[slot] = vtime.CyclesInt(12345)
 	err := k.Validate()
 	if err == nil || !strings.Contains(err.Error(), "proxy") {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 	// Repair and corrupt the busy counter instead.
-	k.cores[0].proxies()[0] = k.eff[k.cores[0].neighbors[0]]
+	k.nbEff[slot] = vtime.Inf
 	k.domains[0].busy = 3
 	err = k.Validate()
 	if err == nil || !strings.Contains(err.Error(), "busy-core") {
@@ -62,9 +67,6 @@ func TestValidateDetectsCorruption(t *testing.T) {
 
 func TestValidateDetectsLazyCorruption(t *testing.T) {
 	k := New(Config{Topo: topology.Mesh(4), Seed: 1})
-	if !k.effLazy {
-		t.Fatalf("expected lazy effective times by default, got %s", k.EffScheme())
-	}
 	d := k.domains[0]
 	// An idle core smuggled onto the busy-frontier list.
 	c := k.cores[0]
@@ -76,7 +78,7 @@ func TestValidateDetectsLazyCorruption(t *testing.T) {
 	}
 	d.busyList = d.busyList[:0]
 	c.busyPos = -1
-	// A fresh memo that disagrees with the eager fixpoint (all-idle
+	// A fresh memo that disagrees with the relay fixpoint (all-idle
 	// machine: every idle core's fixpoint value is Inf).
 	k.eff[c.ID] = vtime.CyclesInt(777)
 	c.effStamp = d.effEpoch

@@ -177,8 +177,8 @@ func (Lockstep) Horizon(c *core.Core) vtime.Time {
 	return m
 }
 
-// IdleTime implements core.Policy.
-func (Lockstep) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
+// IdleRelay implements core.Policy: idle cores never constrain anyone.
+func (Lockstep) IdleRelay() vtime.Time { return vtime.Inf }
 
 // NewConfig assembles a complete cycle-level machine configuration for the
 // given topology: lockstep ordering, detailed memory, 2-bit branch

@@ -67,9 +67,10 @@ func (p GlobalQuantum) Horizon(c *core.Core) vtime.Time {
 	return (m/p.Q + 1) * p.Q
 }
 
-// IdleTime implements core.Policy; global schemes do not need idle shadow
-// times because they never consult neighbors.
-func (GlobalQuantum) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
+// IdleRelay implements core.Policy; global schemes do not need idle
+// shadow times because they never consult neighbors, so idle cores relay
+// Inf and never constrain anyone.
+func (GlobalQuantum) IdleRelay() vtime.Time { return vtime.Inf }
 
 // BoundedSlack lets every core run ahead of the current global minimum
 // virtual time by at most W (SlackSim's bounded slack scheme).
@@ -96,8 +97,8 @@ func (p BoundedSlack) Horizon(c *core.Core) vtime.Time {
 	return m + p.W
 }
 
-// IdleTime implements core.Policy.
-func (BoundedSlack) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
+// IdleRelay implements core.Policy.
+func (BoundedSlack) IdleRelay() vtime.Time { return vtime.Inf }
 
 // Lockstep is the conservative strict-order scheduler used by the
 // cycle-level reference simulator: a core may only advance while it is the
@@ -129,8 +130,8 @@ func (Lockstep) Horizon(c *core.Core) vtime.Time {
 	return m
 }
 
-// IdleTime implements core.Policy.
-func (Lockstep) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
+// IdleRelay implements core.Policy.
+func (Lockstep) IdleRelay() vtime.Time { return vtime.Inf }
 
 // Unbounded never synchronizes: every core runs to completion
 // independently (SlackSim's unbound slack).
@@ -142,8 +143,8 @@ func (Unbounded) Name() string { return "unbounded" }
 // Horizon implements core.Policy.
 func (Unbounded) Horizon(*core.Core) vtime.Time { return vtime.Inf }
 
-// IdleTime implements core.Policy.
-func (Unbounded) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
+// IdleRelay implements core.Policy.
+func (Unbounded) IdleRelay() vtime.Time { return vtime.Inf }
 
 // ShardLocal implements core.ShardLocalPolicy: Unbounded consults no state
 // at all, so it drives the sharded engine and the indexed scheduler.
@@ -198,5 +199,5 @@ func (p LaxP2P) Horizon(c *core.Core) vtime.Time {
 	return t + p.Slack
 }
 
-// IdleTime implements core.Policy.
-func (LaxP2P) IdleTime(*core.Core) vtime.Time { return vtime.Inf }
+// IdleRelay implements core.Policy.
+func (LaxP2P) IdleRelay() vtime.Time { return vtime.Inf }

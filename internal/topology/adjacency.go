@@ -6,8 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"simany/internal/vtime"
 )
 
 // The adjacency file format, as in SiMany's configuration files, gives the
@@ -19,7 +17,7 @@ import (
 //	...
 //
 // or a raw 0/1 matrix after the "matrix" keyword, one row per line, using
-// the default latency and bandwidth:
+// the default latency and bandwidth (the matrix must be symmetric):
 //
 //	cores N
 //	matrix
@@ -27,8 +25,10 @@ import (
 //	...
 //
 // Both directions of a link are created from a single declaration.
+// Latencies are cycle counts in [0, 1e9]; the machine must be connected.
 
-// ParseAdjacency reads a topology description from r.
+// ParseAdjacency reads a topology description from r. Malformed input,
+// out-of-range values and disconnected machines are errors, never panics.
 func ParseAdjacency(r io.Reader) (*Topology, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -55,8 +55,17 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 				if err != nil {
 					return nil, fmt.Errorf("topology: line %d: bad matrix entry %q", lineNo, f)
 				}
-				if v != 0 && col > matrixRow {
-					t.AddLink(matrixRow, col, DefaultLatency, DefaultBandwidth)
+				switch {
+				case col > matrixRow:
+					if v != 0 {
+						t.AddLink(matrixRow, col, DefaultLatency, DefaultBandwidth)
+					}
+				case col < matrixRow:
+					// Row col already declared this pair; links are
+					// symmetric, so the two entries must agree.
+					if _, linked := t.LinkBetween(matrixRow, col); linked != (v != 0) {
+						return nil, fmt.Errorf("topology: line %d: matrix entry (%d,%d) disagrees with (%d,%d): links are symmetric", lineNo, matrixRow, col, col, matrixRow)
+					}
 				}
 			}
 			matrixRow++
@@ -99,11 +108,10 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 			lat := DefaultLatency
 			bw := DefaultBandwidth
 			if len(fields) >= 4 {
-				f, err := strconv.ParseFloat(fields[3], 64)
-				if err != nil || f < 0 {
-					return nil, fmt.Errorf("topology: line %d: bad latency %q", lineNo, fields[3])
+				var ok bool
+				if lat, ok = parseTierCycles(fields[3]); !ok {
+					return nil, fmt.Errorf("topology: line %d: bad latency %q (want 0..%g cycles)", lineNo, fields[3], float64(maxTierCycles))
 				}
-				lat = vtime.Cycles(f)
 			}
 			if len(fields) == 5 {
 				v, err := strconv.Atoi(fields[4])
@@ -128,6 +136,9 @@ func ParseAdjacency(r io.Reader) (*Topology, error) {
 	}
 	if inMatrix {
 		return nil, fmt.Errorf("topology: truncated adjacency matrix")
+	}
+	if !t.Connected() {
+		return nil, fmt.Errorf("topology: %d-core adjacency is disconnected: some cores cannot reach each other", t.N())
 	}
 	return t, nil
 }

@@ -92,8 +92,18 @@ func (m *SparseMatrix) WriteRowFormat(w io.Writer) error {
 	return bw.Flush()
 }
 
+// MaxRowFormatDim caps the row and column counts ReadRowFormat accepts
+// (16M, well above the paper's 10^6×10^6 matrices). A consumer sizes its
+// dense vectors by them, so a one-line header must not be able to demand
+// more memory than that.
+const MaxRowFormatDim = 1 << 24
+
 // ReadRowFormat parses the format written by WriteRowFormat, so matrices
-// from external collections can be dropped in.
+// from external collections can be dropped in. Memory grows with the
+// input actually read, never with the header's counts alone. An accepted
+// matrix has RowPtr[0] == 0, non-decreasing row pointers ending at the
+// coefficient count, and every column index inside the matrix, so a
+// consumer can slice by the row pointers without further checks.
 func ReadRowFormat(r io.Reader) (*SparseMatrix, error) {
 	br := bufio.NewReader(r)
 	var rows, cols int
@@ -105,16 +115,10 @@ func ReadRowFormat(r io.Reader) (*SparseMatrix, error) {
 	if _, err := fmt.Sscanf(strings.TrimSpace(header), "spmxv %d %d %d", &rows, &cols, &nnz); err != nil {
 		return nil, fmt.Errorf("workloads: bad header %q: %w", strings.TrimSpace(header), err)
 	}
-	if rows <= 0 || cols <= 0 || nnz < 0 {
-		return nil, fmt.Errorf("workloads: invalid dimensions %dx%d nnz %d", rows, cols, nnz)
+	if rows <= 0 || cols <= 0 || nnz < 0 || rows > MaxRowFormatDim || cols > MaxRowFormatDim {
+		return nil, fmt.Errorf("workloads: invalid dimensions %dx%d nnz %d (each dimension 1..%d)", rows, cols, nnz, MaxRowFormatDim)
 	}
-	m := &SparseMatrix{
-		Rows:   rows,
-		Cols:   cols,
-		RowPtr: make([]int64, 0, rows+1),
-		ColIdx: make([]int32, 0, nnz),
-		Vals:   make([]float64, 0, nnz),
-	}
+	m := &SparseMatrix{Rows: rows, Cols: cols}
 	ptrLine, err := br.ReadString('\n')
 	if err != nil {
 		return nil, fmt.Errorf("workloads: reading row pointers: %w", err)
@@ -128,6 +132,14 @@ func ReadRowFormat(r io.Reader) (*SparseMatrix, error) {
 	}
 	if len(m.RowPtr) != rows+1 {
 		return nil, fmt.Errorf("workloads: %d row pointers, want %d", len(m.RowPtr), rows+1)
+	}
+	if m.RowPtr[0] != 0 {
+		return nil, fmt.Errorf("workloads: first row pointer %d, want 0", m.RowPtr[0])
+	}
+	for i := 1; i <= rows; i++ {
+		if m.RowPtr[i] < m.RowPtr[i-1] {
+			return nil, fmt.Errorf("workloads: row pointer %d (%d) below its predecessor %d", i, m.RowPtr[i], m.RowPtr[i-1])
+		}
 	}
 	if m.RowPtr[rows] != nnz {
 		return nil, fmt.Errorf("workloads: last row pointer %d != nnz %d", m.RowPtr[rows], nnz)

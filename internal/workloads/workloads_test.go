@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -220,11 +221,15 @@ func TestReadRowFormatErrors(t *testing.T) {
 		"",
 		"nope\n",
 		"spmxv 0 3 0\n\n",
-		"spmxv 2 2 1\n0 1\n0 1.0\n",   // rowptr count wrong
-		"spmxv 2 2 1\n0 0 2\n0 1.0\n", // last ptr != nnz
-		"spmxv 1 1 1\n0 1\nbroken\n",  // bad coefficient
-		"spmxv 1 1 1\n0 1\n5 1.0\n",   // column out of range
-		"spmxv 1 1 2\n0 2\n0 1.0\n",   // truncated
+		"spmxv 2 2 1\n0 1\n0 1.0\n",      // rowptr count wrong
+		"spmxv 2 2 1\n0 0 2\n0 1.0\n",    // last ptr != nnz
+		"spmxv 1 1 1\n0 1\nbroken\n",     // bad coefficient
+		"spmxv 1 1 1\n0 1\n5 1.0\n",      // column out of range
+		"spmxv 1 1 2\n0 2\n0 1.0\n",      // truncated
+		"spmxv 2 2 1\n0 5 1\n0 1.0\n",    // row pointers decrease
+		"spmxv 2 2 1\n1 1 1\n0 1.0\n",    // first ptr != 0
+		"spmxv 9999999999999 1 0\n",      // rows above the cap
+		"spmxv 1 9999999999999 0\n0 0\n", // cols above the cap
 	}
 	for _, s := range bad {
 		if _, err := ReadRowFormat(bytes.NewReader([]byte(s))); err == nil {
@@ -332,4 +337,44 @@ func TestUpdateObjectBijectiveish(t *testing.T) {
 	if UpdateObject(1) == UpdateObject(2) {
 		t.Error("suspicious collision")
 	}
+}
+
+// FuzzReadRowFormat: ReadRowFormat never panics or over-allocates, and an
+// accepted matrix is well formed — row pointers start at 0, never
+// decrease and end at the coefficient count, every column index is in
+// range — so multiplying it by a dense vector stays in bounds. The seed
+// corpus lives in testdata/fuzz/FuzzReadRowFormat.
+func FuzzReadRowFormat(f *testing.F) {
+	var buf bytes.Buffer
+	if err := RandomSparse(3, 6, 7, 2).WriteRowFormat(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("spmxv 2 2 1\n0 1 1\n0 1.0\n")
+	f.Add("spmxv 1 1 0\n0 0\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := ReadRowFormat(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if m.Rows < 1 || m.Cols < 1 || m.Rows > MaxRowFormatDim || m.Cols > MaxRowFormatDim {
+			t.Fatalf("accepted a %dx%d matrix", m.Rows, m.Cols)
+		}
+		if len(m.RowPtr) != m.Rows+1 || m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != m.NNZ() || len(m.ColIdx) != len(m.Vals) {
+			t.Fatalf("accepted malformed pointers %v for %d coefficients", m.RowPtr, m.NNZ())
+		}
+		for i := 1; i <= m.Rows; i++ {
+			if m.RowPtr[i] < m.RowPtr[i-1] {
+				t.Fatalf("accepted decreasing row pointers %v", m.RowPtr)
+			}
+		}
+		for _, c := range m.ColIdx {
+			if c < 0 || int(c) >= m.Cols {
+				t.Fatalf("accepted column %d of %d", c, m.Cols)
+			}
+		}
+		if m.Cols <= 1<<12 {
+			m.MultiplySeq(make([]float64, m.Cols))
+		}
+	})
 }
